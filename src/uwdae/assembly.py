@@ -9,6 +9,7 @@ the last node.  Sample vectors of length n*(K+1) follow the same layout.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -31,8 +32,8 @@ __all__ = [
 class StiffnessMatrix:
     """Sparse SPD Gram matrix of the implied trial basis, in blocks.
 
-    ``matrix`` is the monolithic (nK+d) x (nK+d) operator; the four
-    blocks are kept for inspection and testing.
+    ``matrix`` is the monolithic (nK+d) x (nK+d) operator, built once on
+    first access; the four blocks are kept for inspection and testing.
     """
 
     B11: sp.csr_matrix
@@ -42,13 +43,12 @@ class StiffnessMatrix:
     grid: TimeGrid
     n: int
     d: int
-    vectorization: str = "time-node-major"
 
     @property
     def dim(self) -> int:
         return self.n * self.grid.K + self.d
 
-    @property
+    @cached_property
     def matrix(self) -> sp.csr_matrix:
         if self.d == 0:
             return self.B11
@@ -91,8 +91,7 @@ def assemble_stiffness(
     grams: GramTriplet | None = None,
 ) -> StiffnessMatrix:
     """Assemble the stiffness matrix from Kronecker blocks at one parameter."""
-    if grams is None:
-        grams = build_grams(grid)
+    grams = build_grams(grid) if grams is None else grams
     E = sp.csr_matrix(sys.E)
     A = sys.A_at(mu)
     Vd = V.V
@@ -148,15 +147,16 @@ def _check_symmetry(B: StiffnessMatrix) -> None:
         )
 
 
-def assemble_rhs_operator(grid: TimeGrid, n: int, V: KernelBasis) -> RhsOperator:
+def assemble_rhs_operator(
+    grid: TimeGrid, n: int, V: KernelBasis, grams: GramTriplet | None = None
+) -> RhsOperator:
     """Build the operator mapping nodal samples of f to the load vector.
 
     Row j of F^T holds <sigma_k e_i, psi_j> for every sample slot (k, i),
     so F^T @ samples integrates the hat interpolant of f against every
     test function.
     """
-    grams = build_grams(grid)
-    Lt = grams.Lt
+    Lt = (build_grams(grid) if grams is None else grams).Lt
     K = grid.K
     Id = sp.identity(n, format="csr")
     top = sp.kron(sp.csr_matrix(Lt[:, :K].T), Id)  # (nK) x n(K+1)

@@ -360,7 +360,6 @@ def timereduction_study(
     rows = []
     for Ku in Ku_list:
         coarse = TimeGrid(T=sys.T, K=int(Ku))
-        stride_exact = (K % int(Ku)) == 0
         max_err = 0.0
         for u, ref_sol in zip(controls, full_sols):
             u_coarse = _restrict_to(coarse, grid, u)
@@ -375,8 +374,8 @@ def timereduction_study(
             denom = l2_norm(ref_sol)
             err = l2_difference(sol, ref_sol) / denom if denom > 0 else 0.0
             max_err = max(max_err, err)
-        rows.append((int(Ku), max_err, stride_exact))
-    return [(ku, err) for ku, err, _ in rows]
+        rows.append((int(Ku), max_err))
+    return rows
 
 
 def _restrict_to(coarse: TimeGrid, fine: TimeGrid, samples: np.ndarray) -> np.ndarray:

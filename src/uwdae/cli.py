@@ -270,7 +270,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--refine", type=int, default=2)
     p.add_argument("--out", required=True)
     p.add_argument("--export-system", action="store_true")
-    p.add_argument("--threads", type=int, default=1)
     p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("convergence", help="error/estimator convergence study")
@@ -282,7 +281,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--K-list", default="64,128,256,512")
     p.add_argument("--refine", type=int, default=2)
     p.add_argument("--out", required=True)
-    p.add_argument("--threads", type=int, default=1)
     p.set_defaults(func=cmd_convergence)
 
     p = sub.add_parser("greedy", help="weak greedy reduced basis training")
@@ -297,7 +295,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ntrain", type=int, default=100)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
-    p.add_argument("--threads", type=int, default=1)
     p.set_defaults(func=cmd_greedy)
 
     p = sub.add_parser("reduce", help="control-grid reduction study")
@@ -309,7 +306,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--Ku-list", default="10,25,50,100")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
-    p.add_argument("--threads", type=int, default=1)
     p.set_defaults(func=cmd_reduce)
 
     p = sub.add_parser("rbsolve", help="online reduced solve from a saved model")
@@ -317,7 +313,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mu", default=None)
     p.add_argument("--control", default=None)
     p.add_argument("--out", default=None)
-    p.add_argument("--threads", type=int, default=1)
     p.set_defaults(func=cmd_rbsolve)
     return ap
 

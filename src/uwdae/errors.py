@@ -22,11 +22,11 @@ class GridMismatch(UwdaeError):
 
 
 class SingularAssembly(UwdaeError):
-    """Assembled stiffness matrix failed factorization."""
+    """Assembled stiffness matrix is not symmetric."""
 
 
 class FactorizationFailure(UwdaeError):
-    """Stiffness matrix is not symmetric positive definite."""
+    """Stiffness matrix not positive definite, or a solve failed its gate."""
 
 
 class StepSingular(UwdaeError):

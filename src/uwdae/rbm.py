@@ -235,15 +235,14 @@ def greedy(
         raise ValueError("training set is empty")
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
-    B = op.stiffness.matrix
-    factor = op.factor
-    Ftilde = family.Ftilde
-    Qf = family.Qf
-    R = np.column_stack([factor.solve(Ftilde[:, q]) for q in range(Qf)])
+    Ftilde, factor = family.Ftilde, op.factor
+    R = factor.solve(Ftilde)
+    BR = op.stiffness.matrix @ R
+    factor.check(BR - Ftilde, R, Ftilde)
     # Gram of the Riesz columns in the test-space topology; all offline
     # estimator data derives from this one matrix so the error-residual
     # identity cancels cleanly at snapshot parameters
-    G = np.asarray(R.T @ (B @ R))
+    G = R.T @ BR
     G = 0.5 * (G + G.T)
     Theta = np.array([family.theta_vector(mu) for mu in train.parameters])
 
@@ -265,7 +264,7 @@ def greedy(
             return None
         return np.column_stack([W, v / nrm])
 
-    W = _extend(np.zeros((Qf, 0)), first)
+    W = _extend(np.zeros((family.Qf, 0)), first)
     if W is None:
         raise DegenerateTraining("initial snapshot has zero norm")
     chosen: list[int] = [first]

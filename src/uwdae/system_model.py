@@ -18,6 +18,7 @@ from .errors import (
     InconsistentExtension,
     IrregularPencil,
     ParameterDimensionMismatch,
+    UwdaeError,
 )
 
 __all__ = [
@@ -209,19 +210,9 @@ class AffineOperator:
     def thetas(self) -> list[ThetaExpression]:
         return [t for t, _ in self.terms]
 
-    @property
-    def payloads(self) -> list[object]:
-        return [m for _, m in self.terms]
-
     @staticmethod
     def constant(payload) -> "AffineOperator":
         return AffineOperator(terms=((theta_constant(1.0), payload),))
-
-    def shape_of_terms(self):
-        shapes = []
-        for _, m in self.terms:
-            shapes.append(m.shape if hasattr(m, "shape") else None)
-        return shapes
 
 
 def affine_eval(op: AffineOperator, mu) -> np.ndarray | sp.spmatrix:
@@ -378,8 +369,8 @@ def _consistency_warning(sys: DaeSystem) -> list[str]:
                 "warning: initial value appears inconsistent with f(0+) "
                 f"(least-squares residual {residual:.2e})"
             ]
-    except Exception:
-        pass
+    except (UwdaeError, ValueError, TypeError) as exc:  # thetas, samplers, lstsq
+        return [f"warning: consistency check skipped: {type(exc).__name__}: {exc}"]
     return []
 
 

@@ -81,6 +81,7 @@ def test_block_consistency():
 
     mono = sp.bmat([[B.B11, B.B12], [B.B21, B.B22]], format="csr")
     assert (B.matrix != mono).nnz == 0
+    assert B.matrix is B.matrix  # built once, not on every access
 
 
 def test_rhs_operator_scalar_algebraic_is_mass():
@@ -94,6 +95,8 @@ def test_rhs_operator_scalar_algebraic_is_mass():
     expect = Lt.copy()
     expect[:, 2] *= sign
     assert np.allclose(op.F.toarray(), expect, atol=1e-15)
+    shared = assemble_rhs_operator(grid, 1, V, build_grams(grid))
+    assert (shared.F != op.F).nnz == 0
 
 
 def test_rhs_zero_samples():

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from uwdae.bench import RlcParams, make_rlc
-from uwdae.cli import EXIT_INPUT, EXIT_OK, main
+from uwdae.cli import EXIT_INPUT, EXIT_NUMERICAL, EXIT_OK, main
 from uwdae.manifest import write_manifest
 
 from conftest import make_algebraic
@@ -75,6 +75,26 @@ def test_solve_export_system(rlc_manifest, tmp_path):
 
     B = scipy.io.mmread(str(out / "BN.mtx"))
     assert B.shape == (66, 66)
+
+
+def test_solve_indefinite_stiffness_exits_numerical(rlc_manifest, tmp_path, capsys, monkeypatch):
+    # a negated (negative definite) stiffness fails the Cholesky certificate
+    import dataclasses
+
+    import uwdae.detailed
+
+    assemble = uwdae.detailed.assemble_stiffness
+
+    def negated(*args, **kwargs):
+        B = assemble(*args, **kwargs)
+        return dataclasses.replace(B, B11=-B.B11, B12=-B.B12, B21=-B.B21, B22=-B.B22)
+
+    monkeypatch.setattr(uwdae.detailed, "assemble_stiffness", negated)
+    code = main(["solve", "--manifest", str(rlc_manifest), "--out", str(tmp_path / "out")])
+    assert code == EXIT_NUMERICAL
+    err = capsys.readouterr().err
+    assert "not positive definite" in err
+    assert "Traceback" not in err
 
 
 def test_convergence_command(tmp_path, capsys):

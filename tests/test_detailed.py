@@ -2,9 +2,11 @@
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from uwdae import TimeGrid
 from uwdae.detailed import (
+    BandedCholesky,
     DetailedOperator,
     estimator_detailed,
     evaluate_state,
@@ -15,7 +17,7 @@ from uwdae.detailed import (
     output_trajectory,
     solve_detailed,
 )
-from uwdae.errors import OutOfDomain, StepSingular
+from uwdae.errors import FactorizationFailure, OutOfDomain, StepSingular
 
 import oracles
 from conftest import make_algebraic, make_scalar_ode, scalar_ode_exact
@@ -101,6 +103,75 @@ def test_l2_norm_matches_quadrature():
         sol.grid,
     )
     assert abs(l2_norm(sol) - direct) < 1e-10
+
+
+# -- banded Cholesky factor -------------------------------------------------
+
+
+def _random_banded_spd(rng, dim, w):
+    """Sparse SPD matrix with half-bandwidth exactly w."""
+    offsets = range(-w, w + 1)
+    M = sp.diags([rng.standard_normal(dim - abs(k)) for k in offsets], list(offsets))
+    M = M + M.T
+    return (M + sp.identity(dim) * (2.0 * abs(M).sum(axis=1).max())).tocsr()
+
+
+def test_banded_cholesky_matches_dense_solve():
+    rng = np.random.default_rng(11)
+    M = _random_banded_spd(rng, 40, 3)
+    factor = BandedCholesky(M)
+    assert factor.bandwidth == 3
+    assert np.isclose(factor.norm1, np.abs(M.toarray()).sum(axis=0).max())
+    b = rng.standard_normal((40, 5))
+    expect = np.linalg.solve(M.toarray(), b)
+    assert np.allclose(factor.solve(b), expect, rtol=1e-12, atol=0)
+    assert np.allclose(factor.solve(b[:, 2]), expect[:, 2], rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize(
+    "matrix",
+    [
+        np.diag([1.0, -1.0, 1.0]),  # symmetric indefinite
+        np.array([[1.0, 1.0, 0.0], [1.0, 1.0, 0.0], [0.0, 0.0, 1.0]]),  # singular
+        np.zeros((3, 3)),
+    ],
+    ids=["indefinite", "singular", "zero"],
+)
+def test_banded_cholesky_certifies_positive_definiteness(matrix):
+    with pytest.raises(FactorizationFailure, match="not positive definite"):
+        BandedCholesky(sp.csr_matrix(matrix))
+
+
+def test_stiffness_half_bandwidth_at_most_2n():
+    from uwdae.bench import RlcParams, make_rlc
+
+    sys = make_rlc(RlcParams())
+    op = DetailedOperator(sys, TimeGrid(T=sys.T, K=64))
+    assert op.factor.bandwidth <= 2 * sys.n
+
+
+def test_solve_gate_rejects_mismatched_factor():
+    op = DetailedOperator(make_scalar_ode(), TimeGrid(T=1.0, K=16))
+    op.factor = BandedCholesky(2.0 * op.stiffness.matrix)
+    with pytest.raises(FactorizationFailure, match="backward error"):
+        op.solve(None)
+
+
+def test_solve_gate_accepts_zero_load():
+    op = DetailedOperator(make_scalar_ode(), TimeGrid(T=1.0, K=16))
+    assert not np.any(op.solve_load(np.zeros(op.dim)).coeffs)
+
+
+def test_rlc_fine_grid_solves_and_converges():
+    # K = 4096 was refused by a fixed relative-residual gate (1.33e-10 >
+    # 1e-10) although cond(B) ~ K^2 is harmless for a backward-stable solve
+    from uwdae.bench import RlcParams, make_rlc, rlc_analytic
+
+    p = RlcParams()
+    sys = make_rlc(p)
+    exact = lambda t: rlc_analytic(p, t)
+    errs = [l2_error(solve_detailed(sys, None, TimeGrid(T=p.T, K=K)), exact) for K in (2048, 4096)]
+    assert errs[1] < errs[0] / 1.5
 
 
 # -- estimator ---------------------------------------------------------------
@@ -191,8 +262,6 @@ def test_euler_rlc_tracks_analytic():
 
 
 def test_euler_singular_step():
-    import scipy.sparse as sp
-
     from uwdae import AffineOperator, DaeSystem
     from uwdae.system_model import constant_sampler, theta_constant
 

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from uwdae import TimeGrid
-from uwdae.detailed import DetailedOperator, l2_norm
-from uwdae.errors import DegenerateTraining, SingularReducedSystem
+from uwdae.detailed import BandedCholesky, DetailedOperator, l2_norm
+from uwdae.errors import DegenerateTraining, FactorizationFailure, SingularReducedSystem
 from uwdae.rbm import (
     TrainingSet,
     control_rhs_family,
@@ -104,6 +104,16 @@ def test_greedy_degenerate_training():
     )
     with pytest.raises(DegenerateTraining):
         greedy(op, family, zero, eps=0.0, n_max=3)
+
+
+def test_greedy_checks_riesz_solves(stokes_system):
+    # a factor of another matrix must not pass as the Riesz representers
+    op = DetailedOperator(stokes_system, TimeGrid(T=stokes_system.T, K=8))
+    family = control_rhs_family(op)
+    op.factor = BandedCholesky(2.0 * op.stiffness.matrix)
+    train = TrainingSet.uniform(family.parameter_dim, 5, seed=0)
+    with pytest.raises(FactorizationFailure, match="backward error"):
+        greedy(op, family, train, eps=0.0, n_max=3)
 
 
 def test_basis_orthonormal(stokes_greedy, stokes_op):

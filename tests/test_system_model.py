@@ -173,6 +173,24 @@ def test_validate_inconsistent_x0_warns():
     assert any(d.startswith("warning") for d in diags)
 
 
+def test_validate_consistency_check_reports_failing_sampler():
+    def broken(t):
+        raise ValueError("sampler broke")
+
+    sys = DaeSystem(
+        n=1,
+        E=sp.csr_matrix((1, 1)),
+        A=AffineOperator.constant(sp.identity(1, format="csr")),
+        rhs=AffineOperator(terms=((theta_constant(1.0), broken),)),
+        x0=AffineOperator(terms=((theta_constant(1.0), np.array([1.0])),)),
+        T=1.0,
+    )
+    diags = validate_system(sys)
+    assert diags == [
+        "warning: consistency check skipped: ValueError: sampler broke"
+    ]
+
+
 # -- kernel_basis ------------------------------------------------------------
 
 
