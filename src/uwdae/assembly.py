@@ -174,14 +174,12 @@ def assemble_control_rhs(
     control_samples: np.ndarray | None = None,
     control_grid: TimeGrid | None = None,
     z_terms: np.ndarray | None = None,
-    mu2=None,
-    z_thetas=None,
 ) -> np.ndarray:
-    """Load vector for a fully linear system f = B u + sum_q theta_q z_q.
+    """Load vector for a fully linear system f = B u + sum_q z_q.
 
     ``control_samples`` has shape (m, K_u+1) (or (K_u+1,) for m = 1) on
     ``control_grid``; ``z_terms`` is a list/array of nodal sample blocks
-    (n, K+1) on the state grid with coefficients z_thetas evaluated at mu2.
+    (n, K+1) on the state grid.
     """
     grid = rhs_op.grid
     total = np.zeros(rhs_op.F.shape[1])
@@ -202,8 +200,6 @@ def assemble_control_rhs(
         nodal = B @ u_fine  # (n, K+1)
         total += rhs_op.apply(vectorize_samples(nodal))
     if z_terms is not None:
-        for q, z in enumerate(z_terms):
-            z = np.asarray(z, dtype=float)
-            coeff = 1.0 if z_thetas is None else float(z_thetas[q](mu2))
-            total += coeff * rhs_op.apply(vectorize_samples(z))
+        for z in z_terms:
+            total += rhs_op.apply(vectorize_samples(z))
     return total

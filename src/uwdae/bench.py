@@ -19,6 +19,7 @@ from .system_model import (
     DaeSystem,
     constant_sampler,
     homogenize,
+    sample_rhs_terms,
     theta_constant,
 )
 from .temporal import TimeGrid
@@ -352,7 +353,7 @@ def timereduction_study(
     grid = TimeGrid(T=sys.T, K=int(K))
     op = DetailedOperator(sys, grid)
     controls = smooth_random_controls(grid, n_controls, seed)
-    z_samples = _rhs_term_samples(sys, grid)
+    z_samples = sample_rhs_terms(sys.rhs, grid.nodes)
     full_sols = []
     for u in controls:
         load = assemble_control_rhs(op.sys, op.rhs_op, control_samples=u, z_terms=z_samples)
@@ -381,13 +382,3 @@ def timereduction_study(
 def _restrict_to(coarse: TimeGrid, fine: TimeGrid, samples: np.ndarray) -> np.ndarray:
     """Point samples of the fine-grid interpolant at the coarse nodes."""
     return np.interp(coarse.nodes, fine.nodes, np.asarray(samples, dtype=float))
-
-
-def _rhs_term_samples(sys: DaeSystem, grid: TimeGrid):
-    out = []
-    for _, f in sys.rhs.terms:
-        vals = np.asarray(f(grid.nodes), dtype=float)
-        if vals.ndim == 1:
-            vals = vals[np.newaxis, :]
-        out.append(vals)
-    return out

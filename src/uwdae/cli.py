@@ -14,6 +14,7 @@ import logging
 import os
 import sys as _sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -29,7 +30,6 @@ from .errors import (
     StepSingular,
     UwdaeError,
 )
-from .assembly import assemble_control_rhs
 from .detailed import (
     DetailedOperator,
     estimator_detailed,
@@ -44,10 +44,9 @@ from .rbm import (
     greedy,
     load_model,
     reduced_solve,
-    rhs_family_from_system,
     save_model,
 )
-from .system_model import validate_system
+from .system_model import AffineOperator, pw_linear_sampler, theta_constant, validate_system
 from .temporal import TimeGrid
 
 log = logging.getLogger("uwdae")
@@ -93,6 +92,25 @@ def _summary(path: Path, dims: int, residual: float, estimator: float, wall_ms: 
     )
 
 
+def _with_control(sys, path):
+    """The system with the control B u(t) as one more constant-coefficient rhs term.
+
+    u is the piecewise-linear interpolant of the CSV samples, so solves,
+    residuals and estimators on any grid see the same load.
+    """
+    if sys.control_matrix is None:
+        raise ManifestError("--control given, but the system has no control matrix")
+    t_u, u = read_control_csv(path)
+    B = np.asarray(sys.control_matrix, dtype=float)
+    if u.shape[0] != B.shape[1]:
+        raise ManifestError(
+            f"{path}: {u.shape[0]} control columns, control matrix expects {B.shape[1]}"
+        )
+    u_of_t = pw_linear_sampler(t_u, u)
+    term = (theta_constant(1.0), lambda t: B @ u_of_t(t))
+    return replace(sys, rhs=AffineOperator(terms=sys.rhs.terms + (term,)))
+
+
 def cmd_solve(args) -> int:
     sys, doc = load_manifest(args.manifest)
     diags = validate_system(sys)
@@ -106,21 +124,13 @@ def cmd_solve(args) -> int:
     if not K:
         print("no grid size: pass --K or set grid.K in the manifest", file=_sys.stderr)
         return EXIT_INPUT
+    if args.control:
+        sys = _with_control(sys, args.control)
     grid = TimeGrid(T=sys.T, K=int(K))
     mu = _parse_mu(args.mu)
     t0 = time.perf_counter()
     op = DetailedOperator(sys, grid, mu=mu)
-    if args.control:
-        t_u, u = read_control_csv(args.control)
-        u_grid = np.vstack([np.interp(grid.nodes, t_u, comp) for comp in u])
-        from .bench import _rhs_term_samples
-
-        load = assemble_control_rhs(
-            sys, op.rhs_op, control_samples=u_grid, z_terms=_rhs_term_samples(sys, grid)
-        )
-        sol = op.solve_load(load, mu=mu)
-    else:
-        sol = op.solve(mu)
+    sol = op.solve(mu)
     residual = float(
         np.linalg.norm(op.stiffness.matrix @ sol.coeffs - op.rhs_vector(mu))
     )
@@ -175,11 +185,7 @@ def _build_linear_op(args):
         return None, None, None
     grid = TimeGrid(T=sys.T, K=args.K)
     op = DetailedOperator(sys, grid)
-    if sys.control_matrix is not None:
-        Ku = args.Ku or args.K
-        family = control_rhs_family(op, control_grid=TimeGrid(T=sys.T, K=Ku))
-    else:
-        family = rhs_family_from_system(op)
+    family = control_rhs_family(op, control_grid=TimeGrid(T=sys.T, K=args.Ku or args.K))
     return sys, op, family
 
 

@@ -37,10 +37,6 @@ class DegenerateTraining(UwdaeError):
     """Every training parameter has zero error estimate at N=1."""
 
 
-class SingularReducedSystem(UwdaeError):
-    """Reduced stiffness matrix unexpectedly singular."""
-
-
 class OutOfDomain(UwdaeError):
     """Query time outside [0, T]."""
 

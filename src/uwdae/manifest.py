@@ -20,6 +20,8 @@ from .errors import ManifestError
 from .system_model import (
     AffineOperator,
     DaeSystem,
+    pw_linear_sampler,
+    sample_rhs_terms,
     theta_from_dict,
     theta_to_dict,
 )
@@ -44,25 +46,26 @@ def _read_vector(path: Path) -> np.ndarray:
     return np.asarray(v, dtype=float).ravel()
 
 
+def _read_time_table(path: Path, kind: str) -> tuple[np.ndarray, np.ndarray]:
+    """CSV with a header row and columns t, v_1..v_k -> (t, (k, len(t)))."""
+    if not path.exists():
+        raise ManifestError(f"{kind} file not found: {path}")
+    data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+    if not np.all(np.isfinite(data)):
+        raise ManifestError(f"{path}: non-finite value")
+    if np.any(np.diff(data[:, 0]) <= 0):
+        raise ManifestError(f"{path}: sample times must be strictly increasing")
+    return data[:, 0], data[:, 1:].T
+
+
 def _read_samples_csv(path: Path, n: int):
     """CSV columns t, f_1..f_n -> vectorized pw-linear sampler."""
-    if not path.exists():
-        raise ManifestError(f"sample file not found: {path}")
-    data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
-    if data.shape[1] != n + 1:
+    t_nodes, values = _read_time_table(path, "sample")
+    if values.shape[0] != n:
         raise ManifestError(
-            f"{path}: expected {n + 1} columns (t, f_1..f_{n}), got {data.shape[1]}"
+            f"{path}: expected {n + 1} columns (t, f_1..f_{n}), got {values.shape[0] + 1}"
         )
-    t_nodes = data[:, 0]
-    values = data[:, 1:].T  # (n, samples)
-    if np.any(np.diff(t_nodes) <= 0):
-        raise ManifestError(f"{path}: sample times must be strictly increasing")
-
-    def sampler(t, _tn=t_nodes, _v=values):
-        t = np.atleast_1d(np.asarray(t, dtype=float))
-        return np.vstack([np.interp(t, _tn, comp) for comp in _v])
-
-    return sampler
+    return pw_linear_sampler(t_nodes, values)
 
 
 def load_manifest(path) -> tuple[DaeSystem, dict]:
@@ -146,11 +149,9 @@ def write_manifest(sys: DaeSystem, directory, grid_K: int | None = None) -> Path
         doc["A"].append({"theta": theta_to_dict(theta), "matrix": name})
     doc["rhs"] = []
     t_tab = np.linspace(0.0, sys.T, 1025)
-    for q, (theta, f) in enumerate(sys.rhs.terms):
+    terms = zip(sys.rhs.thetas, sample_rhs_terms(sys.rhs, t_tab))
+    for q, (theta, vals) in enumerate(terms):
         name = f"f{q}.csv"
-        vals = np.asarray(f(t_tab), dtype=float)
-        if vals.ndim == 1:
-            vals = vals[np.newaxis, :]
         with open(directory / name, "w", newline="") as fh:
             w = csv.writer(fh)
             w.writerow(["t"] + [f"f_{i+1}" for i in range(sys.n)])
@@ -177,9 +178,8 @@ def write_manifest(sys: DaeSystem, directory, grid_K: int | None = None) -> Path
 
 
 def read_control_csv(path) -> tuple[np.ndarray, np.ndarray]:
-    """Control sample file with columns t, u_1..u_m; returns (t, (m, len(t)))."""
-    path = Path(path)
-    if not path.exists():
-        raise ManifestError(f"control file not found: {path}")
-    data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
-    return data[:, 0], data[:, 1:].T
+    """Control sample file with columns t, u_1..u_m; returns (t, (m, len(t))).
+
+    Values must be finite and times strictly increasing.
+    """
+    return _read_time_table(Path(path), "control")

@@ -14,11 +14,12 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DegenerateTraining, SingularReducedSystem
+from .errors import DegenerateTraining
 from .assembly import vectorize_samples
 from .detailed import DetailedOperator, DetailedSolution
 from .system_model import (
     ThetaExpression,
+    sample_rhs_terms,
     theta_component,
     theta_from_dict,
     theta_shift,
@@ -41,6 +42,9 @@ __all__ = [
 ]
 
 ORTH_REJECT_TOL = 1e-10
+# A saved basis is accepted when coords^T G coords is the identity to this
+# bound; greedy bases measure 1e-12 and below (Stokes-like m_g = 8, N = 76).
+ORTHONORMAL_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -87,60 +91,37 @@ class AffineRhsFamily:
 def control_rhs_family(
     op: DetailedOperator, control_grid: TimeGrid | None = None
 ) -> AffineRhsFamily:
-    """Affine family for a fully linear system with control-sample parameters.
+    """Affine load family of a fully linear system.
 
-    The parameter vector stacks the m*(K_u+1) nodal control samples with
-    the parameter of the system's own right-hand-side terms (e.g. the
-    homogenized initial condition).  One affine term per control sample
-    slot plus one per system rhs term.
+    The parameter vector stacks the m*(K_u+1) nodal control samples (none
+    without a control matrix) with the parameter of the system's own
+    right-hand-side terms (e.g. the homogenized initial condition).  One
+    affine term per control sample slot plus one per system rhs term.
     """
     sys, grid = op.sys, op.grid
-    if sys.control_matrix is None:
-        raise ValueError("system has no control matrix")
     if not sys.parameter_independent_A:
         raise ValueError("reduced pipeline requires parameter-independent A")
-    if control_grid is None:
-        control_grid = grid
-    B = np.asarray(sys.control_matrix, dtype=float)
-    m = B.shape[1]
-    Ku = control_grid.K
-    P = prolongation_matrix(control_grid, grid).toarray()  # (K+1, Ku+1)
     cols = []
     thetas: list[ThetaExpression] = []
-    for j in range(m):
-        for k in range(Ku + 1):
-            nodal = np.outer(B[:, j], P[:, k])  # (n, K+1)
-            cols.append(op.rhs_op.apply(vectorize_samples(nodal)))
-            thetas.append(theta_component(j * (Ku + 1) + k))
-    P1 = m * (Ku + 1)
-    for theta, f in sys.rhs.terms:
-        samples = np.asarray(f(grid.nodes), dtype=float)
-        if samples.ndim == 1:
-            samples = samples[np.newaxis, :]
+    if sys.control_matrix is not None:
+        control_grid = grid if control_grid is None else control_grid
+        B = np.asarray(sys.control_matrix, dtype=float)
+        Ku = control_grid.K
+        P = prolongation_matrix(control_grid, grid).toarray()  # (K+1, Ku+1)
+        for j in range(B.shape[1]):
+            for k in range(Ku + 1):
+                nodal = np.outer(B[:, j], P[:, k])  # (n, K+1)
+                cols.append(op.rhs_op.apply(vectorize_samples(nodal)))
+                thetas.append(theta_component(j * (Ku + 1) + k))
+    P1 = len(thetas)
+    for theta, samples in zip(sys.rhs.thetas, sample_rhs_terms(sys.rhs, grid.nodes)):
         cols.append(op.rhs_op.apply(vectorize_samples(samples)))
         thetas.append(theta_shift(theta, P1))
-    p2 = max((t.min_parameter_dim() - P1 for t in thetas[P1:]), default=0)
+    p2 = max(theta.min_parameter_dim() for theta in sys.rhs.thetas)
     return AffineRhsFamily(
         Ftilde=np.column_stack(cols),
         thetas=tuple(thetas),
-        parameter_dim=P1 + max(p2, 0),
-    )
-
-
-def rhs_family_from_system(op: DetailedOperator) -> AffineRhsFamily:
-    """Affine family straight from the system's rhs decomposition."""
-    sys, grid = op.sys, op.grid
-    cols = []
-    thetas = []
-    for theta, f in sys.rhs.terms:
-        samples = np.asarray(f(grid.nodes), dtype=float)
-        if samples.ndim == 1:
-            samples = samples[np.newaxis, :]
-        cols.append(op.rhs_op.apply(vectorize_samples(samples)))
-        thetas.append(theta)
-    P = max((t.min_parameter_dim() for t in thetas), default=0)
-    return AffineRhsFamily(
-        Ftilde=np.column_stack(cols), thetas=tuple(thetas), parameter_dim=max(P, 1)
+        parameter_dim=max(P1 + p2, 1),
     )
 
 
@@ -149,9 +130,10 @@ class ReducedBasis:
     """Test-space coefficients of the reduced basis, Y-orthonormal columns.
 
     ``coords`` expresses each basis column in the Riesz columns of the
-    affine load terms (Eta = R @ coords); the online estimator works in
-    these coordinates so that the residual norm is evaluated without
-    catastrophic cancellation at snapshot parameters.
+    affine load terms (Eta = R @ coords), so coords^T G coords = I for the
+    Riesz-column Gram G; the online estimator works in these coordinates
+    so that the residual norm is evaluated without catastrophic
+    cancellation at snapshot parameters.
     """
 
     Eta: np.ndarray  # (dim, N)
@@ -165,8 +147,14 @@ class ReducedBasis:
 
 @dataclass(frozen=True)
 class ReducedModel:
+    """Online data of a reduced basis.
+
+    The basis is orthonormal in the test-space topology, so the reduced
+    stiffness matrix is the identity and the reduced solution is the
+    vector of load-basis products, rhs_offline^T theta(mu).
+    """
+
     basis: ReducedBasis
-    B_N: np.ndarray  # (N, N), identity for orthonormal bases
     rhs_offline: np.ndarray  # (Q_f, N) products of rhs terms with basis
     riesz_gram: np.ndarray  # (Q_f, Q_f) Gram of rhs Riesz representers
     thetas: tuple[ThetaExpression, ...]
@@ -195,7 +183,6 @@ class ReducedModel:
                 S_N=self.basis.S_N[:N],
                 coords=self.basis.coords[:, :N],
             ),
-            B_N=self.B_N[:N, :N],
             rhs_offline=self.rhs_offline[:, :N],
             riesz_gram=self.riesz_gram,
             thetas=self.thetas,
@@ -205,18 +192,16 @@ class ReducedModel:
         )
 
 
-def _sweep_estimators(Theta: np.ndarray, G: np.ndarray, W: np.ndarray) -> np.ndarray:
-    """Vectorized Delta_N over rows of Theta, in Riesz-column coordinates.
+def _residual_norms(Theta: np.ndarray, W: np.ndarray, X: np.ndarray, G: np.ndarray):
+    """Delta_N: the G-norm of theta - W x, x the reduced solution.
 
-    The residual coordinate vector theta - W (W^T G theta) is formed
-    first, so the quadratic form stays nonnegative and cancels cleanly
-    when a load lies in the reduced span.
+    Theta and X hold one parameter per row, or are single vectors.  The
+    residual coordinate vector in the Riesz columns is formed first, so
+    the quadratic form stays nonnegative and cancels cleanly when a load
+    lies in the reduced span.
     """
-    if W.size:
-        Y = Theta - (Theta @ (G @ W)) @ W.T
-    else:
-        Y = Theta
-    return np.sqrt(np.clip(np.einsum("ij,jk,ik->i", Y, G, Y), 0.0, None))
+    Y = Theta - X @ W.T
+    return np.sqrt(np.maximum(np.einsum("...j,...j->...", Y @ G, Y), 0.0))
 
 
 def greedy(
@@ -250,6 +235,8 @@ def greedy(
     if not np.any(load_norm2 > 0):
         raise DegenerateTraining("all training load vectors vanish")
     first = int(np.argmax(load_norm2))
+    # round-off of a computed quadratic form v^T G v is about this times |v|^2
+    floor = np.finfo(float).eps * np.linalg.norm(G, 2)
 
     def _extend(W: np.ndarray, idx: int) -> np.ndarray | None:
         v = Theta[idx].copy()
@@ -260,7 +247,9 @@ def greedy(
             if W.shape[1]:
                 v = v - W @ (W.T @ (G @ v))
         nrm = np.sqrt(max(v @ (G @ v), 0.0))
-        if nrm < ORTH_REJECT_TOL * orig:
+        # a dependent candidate, or one whose G-norm is round-off: normalizing
+        # the latter would break the orthonormality the online solve relies on
+        if nrm < ORTH_REJECT_TOL * orig or nrm**2 <= floor * (v @ v):
             return None
         return np.column_stack([W, v / nrm])
 
@@ -271,7 +260,7 @@ def greedy(
     history: list[tuple[int, int, float]] = []
 
     while True:
-        deltas = _sweep_estimators(Theta, G, W)
+        deltas = _residual_norms(Theta, W, Theta @ (G @ W), G)
         max_err = float(deltas.max())
         N = W.shape[1]
         if N == 1 and max_err == 0.0:
@@ -295,11 +284,9 @@ def greedy(
         if pick < 0:
             break
 
-    GW = G @ W
     model = ReducedModel(
         basis=ReducedBasis(Eta=R @ W, S_N=train.parameters[chosen], coords=W),
-        B_N=W.T @ GW,
-        rhs_offline=GW,
+        rhs_offline=G @ W,
         riesz_gram=G,
         thetas=family.thetas,
         parameter_dim=family.parameter_dim,
@@ -310,12 +297,8 @@ def greedy(
 
 
 def reduced_solve(model: ReducedModel, mu) -> np.ndarray:
-    """Solve the N x N reduced system for one parameter."""
-    f_N = model.rhs_offline.T @ model.theta_vector(mu)
-    try:
-        return np.linalg.solve(model.B_N, f_N)
-    except np.linalg.LinAlgError as exc:
-        raise SingularReducedSystem(str(exc)) from exc
+    """Reduced solution for one parameter; the reduced system is the identity."""
+    return model.rhs_offline.T @ model.theta_vector(mu)
 
 
 def estimator_online(model: ReducedModel, mu, x_N: np.ndarray) -> float:
@@ -324,11 +307,9 @@ def estimator_online(model: ReducedModel, mu, x_N: np.ndarray) -> float:
     Exact error-residual identity up to round-off; tiny negative values
     from cancellation are clamped to zero.
     """
-    theta = model.theta_vector(mu)
     x_N = np.asarray(x_N, dtype=float)
-    y = theta - model.basis.coords @ x_N  # residual in Riesz-column coords
-    val = y @ model.riesz_gram @ y
-    return float(np.sqrt(max(val, 0.0)))
+    theta = model.theta_vector(mu)
+    return float(_residual_norms(theta, model.basis.coords, x_N, model.riesz_gram))
 
 
 def lift(model: ReducedModel, x_N: np.ndarray) -> np.ndarray:
@@ -368,25 +349,37 @@ def save_model(model: ReducedModel, directory) -> None:
     np.save(path / "Eta.npy", model.basis.Eta)
     np.save(path / "S_N.npy", model.basis.S_N)
     np.save(path / "coords.npy", model.basis.coords)
-    np.save(path / "B_N.npy", model.B_N)
     np.save(path / "rhs_offline.npy", model.rhs_offline)
     np.save(path / "riesz_gram.npy", model.riesz_gram)
 
 
 def load_model(directory) -> ReducedModel:
+    """Read a saved model; files it does not use are ignored.
+
+    Older versions also stored the reduced stiffness matrix; such
+    directories still load.  The online solve relies on the basis being
+    orthonormal, so a model whose coordinates are not orthonormal in the
+    Riesz-column Gram to ORTHONORMAL_TOL is rejected.
+    """
     path = Path(directory)
     header = json.loads((path / "header.json").read_text())
     if header.get("schema") != "uwdae-reduced-model-v1":
         raise ValueError(f"unrecognized model schema in {path}")
+    coords = np.load(path / "coords.npy")
+    riesz_gram = np.load(path / "riesz_gram.npy")
+    dev = np.abs(coords.T @ riesz_gram @ coords - np.eye(coords.shape[1])).max(initial=0.0)
+    if not dev <= ORTHONORMAL_TOL:
+        raise ValueError(
+            f"{path}: basis is not orthonormal (max |coords^T G coords - I| = {dev:.2e})"
+        )
     return ReducedModel(
         basis=ReducedBasis(
             Eta=np.load(path / "Eta.npy"),
             S_N=np.load(path / "S_N.npy"),
-            coords=np.load(path / "coords.npy"),
+            coords=coords,
         ),
-        B_N=np.load(path / "B_N.npy"),
         rhs_offline=np.load(path / "rhs_offline.npy"),
-        riesz_gram=np.load(path / "riesz_gram.npy"),
+        riesz_gram=riesz_gram,
         thetas=tuple(theta_from_dict(d) for d in header["thetas"]),
         parameter_dim=header["parameter_dim"],
         grid=TimeGrid(T=header["grid"]["T"], K=header["grid"]["K"]),

@@ -41,6 +41,7 @@ __all__ = [
     "homogenize",
     "affine_eval",
     "sample_rhs",
+    "sample_rhs_terms",
 ]
 
 DEFAULT_RANK_TOL = 1e-10
@@ -225,25 +226,34 @@ def affine_eval(op: AffineOperator, mu) -> np.ndarray | sp.spmatrix:
     return out
 
 
+def sample_rhs_terms(op: AffineOperator, times: np.ndarray) -> list[np.ndarray]:
+    """Samples f_q(t_k) of every time-sampled term, each of shape (n, len(times))."""
+    times = np.asarray(times, dtype=float)
+    return [np.atleast_2d(np.asarray(f(times), dtype=float)) for _, f in op.terms]
+
+
 def sample_rhs(op: AffineOperator, mu, times: np.ndarray) -> np.ndarray:
     """Evaluate a time-sampled affine right-hand side at the given nodes.
 
     Returns an (n, len(times)) array of sum_q theta_q(mu) f_q(t_k).
     """
-    times = np.asarray(times, dtype=float)
-    out = None
-    for theta, f in op.terms:
-        vals = np.asarray(f(times), dtype=float)
-        if vals.ndim == 1:
-            vals = vals[np.newaxis, :]
-        contrib = theta(mu) * vals
-        out = contrib if out is None else out + contrib
-    return out
+    samples = sample_rhs_terms(op, times)
+    return sum(theta(mu) * vals for theta, vals in zip(op.thetas, samples))
 
 
 def constant_sampler(vec: np.ndarray) -> TimeSampler:
     vec = np.asarray(vec, dtype=float).ravel()
     return lambda t: np.repeat(vec[:, None], np.asarray(t).size, axis=1)
+
+
+def pw_linear_sampler(t_nodes: np.ndarray, values: np.ndarray) -> TimeSampler:
+    """Piecewise-linear interpolant of samples values (n, len(t_nodes))."""
+
+    def sampler(t):
+        t = np.atleast_1d(np.asarray(t, dtype=float))
+        return np.vstack([np.interp(t, t_nodes, comp) for comp in values])
+
+    return sampler
 
 
 # ---------------------------------------------------------------------------

@@ -6,9 +6,13 @@ import json
 import numpy as np
 import pytest
 
-from uwdae.bench import RlcParams, make_rlc
+from uwdae import TimeGrid
+from uwdae.assembly import assemble_control_rhs
+from uwdae.bench import RlcParams, StokesLikeParams, make_rlc, make_stokes_like
 from uwdae.cli import EXIT_INPUT, EXIT_NUMERICAL, EXIT_OK, main
-from uwdae.manifest import write_manifest
+from uwdae.detailed import DetailedOperator, l2_difference, l2_norm
+from uwdae.manifest import load_manifest, write_manifest
+from uwdae.system_model import sample_rhs_terms
 
 from conftest import make_algebraic
 
@@ -17,6 +21,12 @@ from conftest import make_algebraic
 def rlc_manifest(tmp_path):
     write_manifest(make_rlc(RlcParams()), tmp_path / "rlc", grid_K=64)
     return tmp_path / "rlc"
+
+
+@pytest.fixture
+def stokes_manifest(tmp_path):
+    write_manifest(make_stokes_like(StokesLikeParams(m_g=4)), tmp_path / "stokes", grid_K=40)
+    return tmp_path / "stokes"
 
 
 def _read_csv(path):
@@ -97,6 +107,53 @@ def test_solve_indefinite_stiffness_exits_numerical(rlc_manifest, tmp_path, caps
     assert "Traceback" not in err
 
 
+def test_solve_control_certificates(stokes_manifest, tmp_path):
+    # residual and estimator must belong to the load with the control in it
+    t_u = np.linspace(0.0, 1.0, 11)
+    u = 50.0 * np.sin(3.0 * t_u)
+    csv_path = tmp_path / "u.csv"
+    np.savetxt(csv_path, np.column_stack([t_u, u]), delimiter=",", header="t,u_1", comments="")
+    out = tmp_path / "out"
+    args = ["solve", "--manifest", str(stokes_manifest), "--control", str(csv_path)]
+    assert main(args + ["--out", str(out)]) == EXIT_OK
+    summary = json.loads((out / "summary.json").read_text())
+
+    sys, _ = load_manifest(stokes_manifest)
+    sols, loads = {}, {}
+    for K in (40, 80):
+        grid = TimeGrid(T=sys.T, K=K)
+        op = DetailedOperator(sys, grid)
+        loads[K] = assemble_control_rhs(
+            sys,
+            op.rhs_op,
+            control_samples=np.interp(grid.nodes, t_u, u),
+            z_terms=sample_rhs_terms(sys.rhs, grid.nodes),
+        )
+        sols[K] = op.solve_load(loads[K])
+    assert summary["residual"] <= 1e-9 * np.linalg.norm(loads[40])
+    # raw refinement-2 estimator = L2 distance of the nested K and 2K solves
+    diff = l2_difference(sols[80], sols[40])
+    assert abs(summary["estimator"] * np.sqrt(0.75) - diff) <= 1e-8 * diff
+
+
+@pytest.mark.parametrize(
+    "rows, message",
+    [
+        ("0.0,1.0\n0.5,nan\n1.0,2.0\n", "non-finite"),
+        ("0.0,1.0\n0.6,2.0\n0.5,3.0\n1.0,4.0\n", "strictly increasing"),
+    ],
+    ids=["nan", "non-increasing"],
+)
+def test_solve_rejects_bad_control_csv(stokes_manifest, tmp_path, capsys, rows, message):
+    csv_path = tmp_path / "u.csv"
+    csv_path.write_text("t,u_1\n" + rows)
+    args = ["solve", "--manifest", str(stokes_manifest), "--control", str(csv_path)]
+    assert main(args + ["--out", str(tmp_path / "out")]) == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert message in err
+    assert "Traceback" not in err
+
+
 def test_convergence_command(tmp_path, capsys):
     out = tmp_path / "conv"
     code = main(
@@ -159,6 +216,44 @@ def test_greedy_reduce_rbsolve_pipeline(tmp_path, capsys):
     assert x_N.shape == (hdr["N"],)
 
 
+def test_greedy_manifest_without_control(rlc_manifest, tmp_path, capsys):
+    # one rhs term and no control: a one-dimensional load family, and the
+    # single reduced coefficient is the L2 norm of the detailed solution
+    out = tmp_path / "greedy"
+    args = ["greedy", "--manifest", str(rlc_manifest), "--K", "64", "--out", str(out)]
+    assert main(args) == EXIT_OK
+    hdr = json.loads((out / "model" / "header.json").read_text())
+    assert (hdr["N"], hdr["Qf"], hdr["parameter_dim"]) == (1, 1, 1)
+    rb = tmp_path / "rb"
+    args = ["rbsolve", "--model", str(out / "model"), "--mu", "0", "--out", str(rb)]
+    assert main(args) == EXIT_OK
+    sys, _ = load_manifest(rlc_manifest)
+    norm = l2_norm(DetailedOperator(sys, TimeGrid(T=sys.T, K=64)).solve())
+    x_N = np.load(rb / "x_N.npy")
+    assert x_N.shape == (1,)
+    assert abs(x_N[0] - norm) <= 1e-10 * norm
+
+
+def test_greedy_rejects_parameter_dependent_A(tmp_path, capsys):
+    import dataclasses
+
+    import scipy.sparse as sp
+
+    from uwdae import AffineOperator, theta_component, theta_constant
+
+    from conftest import make_scalar_ode
+
+    sys = make_scalar_ode()
+    minus_one = sp.csr_matrix([[-1.0]])
+    A = AffineOperator(((theta_constant(1.0), minus_one), (theta_component(0), minus_one)))
+    write_manifest(dataclasses.replace(sys, A=A), tmp_path / "pdep", grid_K=16)
+    args = ["greedy", "--manifest", str(tmp_path / "pdep"), "--K", "16"]
+    assert main(args + ["--out", str(tmp_path / "out")]) == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert "parameter-independent A" in err
+    assert "Traceback" not in err
+
+
 def test_rbsolve_dimension_mismatch(tmp_path, capsys):
     out = tmp_path / "greedy"
     main(
@@ -178,6 +273,7 @@ def test_rbsolve_dimension_mismatch(tmp_path, capsys):
     )
     code = main(["rbsolve", "--model", str(out / "model"), "--mu", "1.0,2.0"])
     assert code == EXIT_INPUT
+    assert "parameter has dimension 2" in capsys.readouterr().err
 
 
 def test_reduce_command(tmp_path, capsys):
