@@ -107,25 +107,16 @@ def assemble_stiffness(
     O11, O12, O21, O22 = grams.blocks("Ot")
 
     B11 = (
-        sp.kron(sp.csr_matrix(K11), EEt)
-        + sp.kron(sp.csr_matrix(O11), EAt)
-        + sp.kron(sp.csr_matrix(O11.T), AEt)
-        + sp.kron(sp.csr_matrix(L11), AAt)
+        sp.kron(K11, EEt) + sp.kron(O11, EAt) + sp.kron(O11.T, AEt) + sp.kron(L11, AAt)
     ).tocsr()
 
     if d > 0:
         AtV = A.T @ Vd  # dense n x d
         EAtV = E @ AtV
         AAtV = A @ AtV
-        B12 = (
-            sp.kron(sp.csr_matrix(O12), sp.csr_matrix(EAtV))
-            + sp.kron(sp.csr_matrix(L12), sp.csr_matrix(AAtV))
-        ).tocsr()
-        B21 = (
-            sp.kron(sp.csr_matrix(O12.T), sp.csr_matrix(EAtV.T))
-            + sp.kron(sp.csr_matrix(L21), sp.csr_matrix(AAtV.T))
-        ).tocsr()
-        B22 = sp.csr_matrix(float(L22[0, 0]) * (Vd.T @ AAtV))
+        B12 = (sp.kron(O12, sp.csr_matrix(EAtV)) + sp.kron(L12, sp.csr_matrix(AAtV))).tocsr()
+        B21 = (sp.kron(O12.T, sp.csr_matrix(EAtV.T)) + sp.kron(L21, sp.csr_matrix(AAtV.T))).tocsr()
+        B22 = sp.csr_matrix(L22[0, 0] * (Vd.T @ AAtV))
     else:
         n = sys.n
         B12 = sp.csr_matrix((n * grid.K, 0))
@@ -159,9 +150,9 @@ def assemble_rhs_operator(
     Lt = (build_grams(grid) if grams is None else grams).Lt
     K = grid.K
     Id = sp.identity(n, format="csr")
-    top = sp.kron(sp.csr_matrix(Lt[:, :K].T), Id)  # (nK) x n(K+1)
+    top = sp.kron(Lt[:, :K].T, Id)  # (nK) x n(K+1)
     if V.d > 0:
-        bottom = sp.kron(sp.csr_matrix(Lt[:, K:].T), sp.csr_matrix(V.V.T))
+        bottom = sp.kron(Lt[:, K:].T, sp.csr_matrix(V.V.T))
         Ft = sp.vstack([top, bottom], format="csr")
     else:
         Ft = top.tocsr()

@@ -78,18 +78,8 @@ def _write_trajectory(path: Path, times, values, prefix: str = "x"):
             w.writerow([repr(float(t))] + [repr(float(v)) for v in values[:, k]])
 
 
-def _summary(path: Path, dims: int, residual: float, estimator: float, wall_ms: float):
-    path.write_text(
-        json.dumps(
-            {
-                "dims": dims,
-                "residual": residual,
-                "estimator": estimator,
-                "wall_ms": wall_ms,
-            },
-            indent=2,
-        )
-    )
+def _summary(path: Path, **fields):
+    path.write_text(json.dumps(fields, indent=2))
 
 
 def _with_control(sys, path):
@@ -140,12 +130,11 @@ def cmd_solve(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     mids = 0.5 * (grid.nodes[:-1] + grid.nodes[1:])
-    _write_trajectory(out / "trajectory.csv", mids, evaluate_state(sol, mids))
+    states = evaluate_state(sol, mids)
+    _write_trajectory(out / "trajectory.csv", mids, states)
     if sys.output_matrix is not None:
-        _write_trajectory(
-            out / "outputs.csv", mids, sys.output_matrix @ evaluate_state(sol, mids), "y"
-        )
-    _summary(out / "summary.json", op.dim, residual, delta, wall_ms)
+        _write_trajectory(out / "outputs.csv", mids, sys.output_matrix @ states, "y")
+    _summary(out / "summary.json", dims=op.dim, residual=residual, estimator=delta, wall_ms=wall_ms)
     if args.export_system:
         scipy.io.mmwrite(str(out / "BN.mtx"), sp.coo_matrix(op.stiffness.matrix))
         scipy.io.mmwrite(str(out / "fN.mtx"), op.rhs_vector(mu)[:, None])
@@ -260,7 +249,7 @@ def cmd_rbsolve(args) -> int:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
         np.save(out / "x_N.npy", x_N)
-        _summary(out / "summary.json", model.N, 0.0, delta, wall_ms)
+        _summary(out / "summary.json", dims=model.N, estimator=delta, wall_ms=wall_ms)
     return EXIT_OK
 
 

@@ -16,7 +16,7 @@ import scipy.linalg as la
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .errors import FactorizationFailure, OutOfDomain, StepSingular
+from .errors import FactorizationFailure, GridMismatch, OutOfDomain, StepSingular
 from .assembly import (
     RhsOperator,
     StiffnessMatrix,
@@ -28,9 +28,9 @@ from .system_model import DaeSystem, KernelBasis, kernel_basis, sample_rhs
 from .temporal import (
     TimeGrid,
     build_grams,
-    cross_grams,
     hat_derivative_values,
     hat_values,
+    prolongation_matrix,
 )
 
 __all__ = [
@@ -170,6 +170,18 @@ class DetailedSolution:
             Y[:, K] = self.V.V @ self.coeffs[n * K :]
         return Y
 
+    def prolonged_coeffs(self, fine: TimeGrid) -> np.ndarray:
+        """Coefficients of the same test function y on a nested refinement.
+
+        The fine nodal values are the coarse hat expansion at the fine
+        nodes; the kernel coefficients at the shared last node carry over.
+        """
+        K = self.grid.K
+        if fine.K % K:
+            raise GridMismatch(f"grid with K={fine.K} does not refine K={K}")
+        Yf = prolongation_matrix(self.grid, fine) @ self.test_node_values.T
+        return np.concatenate([Yf[:-1].ravel(), self.coeffs[self.sys.n * K :]])
+
 
 def solve_detailed(sys: DaeSystem, mu, grid: TimeGrid) -> DetailedSolution:
     """One-shot detailed solve; assembles, factorizes and solves."""
@@ -187,11 +199,9 @@ def evaluate_state(sol: DetailedSolution, times) -> np.ndarray:
     if np.any(t < -1e-12 * T) or np.any(t > T * (1 + 1e-12)):
         raise OutOfDomain(f"query times outside [0, {T}]")
     t = np.clip(t, 0.0, T)
-    Y = sol.test_node_values
-    H = hat_values(sol.grid, t)
-    D = hat_derivative_values(sol.grid, t, node_average=True)
-    yvals = Y @ H.T.toarray()
-    ydot = Y @ D.T.toarray()
+    Yt = sol.test_node_values.T
+    yvals = (hat_values(sol.grid, t) @ Yt).T
+    ydot = (hat_derivative_values(sol.grid, t) @ Yt).T
     E = sol.sys.E.tocsr()
     A = sol.sys.A_at(sol.mu)
     return -(E.T @ ydot) - (A.T @ yvals)
@@ -217,8 +227,16 @@ def l2_error(sol: DetailedSolution, reference, quad_order: int = 4) -> float:
 
 
 def l2_difference(fine: DetailedSolution, coarse: DetailedSolution) -> float:
-    """L2 distance of two solutions, exact when grids are nested."""
-    return l2_error(fine, lambda t: evaluate_state(coarse, t), quad_order=2)
+    """Exact L2 distance of two solutions on nested grids.
+
+    The coarse test function is prolonged to the fine grid; the distance
+    of the trial functions is the fine stiffness norm of the coefficient
+    difference.  Coincident grids are the refinement-1 case.
+    """
+    if fine.sys is not coarse.sys or not np.array_equal(fine.mu, coarse.mu):
+        raise ValueError("l2_difference needs two solutions of one system at one parameter")
+    w = fine.coeffs - coarse.prolonged_coeffs(fine.grid)
+    return float(np.sqrt(max(w @ (fine.op.stiffness.matrix @ w), 0.0)))
 
 
 def estimator_detailed(
@@ -234,51 +252,20 @@ def estimator_detailed(
     error; the default applies that saturation correction.  Refinement 1
     reproduces Galerkin orthogonality (zero residual) and serves as a
     testing backdoor.
+
+    Every coarse trial function is the image of its test function, which
+    the fine test space contains, so the residual is f_f - B_f J c with J
+    the test-space prolongation.
     """
     if refinement < 1:
         raise ValueError("refinement must be >= 1")
-    sys, mu, grid, V = sol.sys, sol.mu, sol.grid, sol.V
-    fine = DetailedOperator(sys, grid.refine(refinement), mu=mu, V=V)
-    rho = fine.rhs_vector(mu) - cross_stiffness(sys, mu, grid, fine.grid, V) @ sol.coeffs
+    fine = DetailedOperator(sol.sys, sol.grid.refine(refinement), mu=sol.mu, V=sol.V)
+    rho = fine.rhs_vector(sol.mu) - fine.stiffness.matrix @ sol.prolonged_coeffs(fine.grid)
     w = fine.solve_load(rho).coeffs
     raw = float(np.sqrt(max(rho @ w, 0.0)))
     if corrected and refinement > 1:
         return raw / np.sqrt(1.0 - 1.0 / refinement**2)
     return raw
-
-
-def cross_stiffness(
-    sys: DaeSystem, mu, basis_grid: TimeGrid, test_grid: TimeGrid, V: KernelBasis
-) -> sp.csr_matrix:
-    """Matrix of b-products between trial functions on two grids.
-
-    Entry (j, i) holds the L2 product of trial function i on the basis
-    grid with trial function j on the test grid; coincident grids
-    reproduce the stiffness matrix.
-    """
-    E = sp.csr_matrix(sys.E)
-    A = sys.A_at(mu)
-    Kx, O1, O2, Lx = cross_grams(basis_grid, test_grid)
-    G = (
-        sp.kron(sp.csr_matrix(Kx.T), (E @ E.T).tocsr())
-        + sp.kron(sp.csr_matrix(O1.T), (A @ E.T).tocsr())
-        + sp.kron(sp.csr_matrix(O2.T), (E @ A.T).tocsr())
-        + sp.kron(sp.csr_matrix(Lx.T), (A @ A.T).tocsr())
-    )
-    Emb_b = _embedding(basis_grid.K, sys.n, V)
-    Emb_t = _embedding(test_grid.K, sys.n, V)
-    return (Emb_t.T @ G @ Emb_b).tocsr()
-
-
-def _embedding(K: int, n: int, V: KernelBasis) -> sp.csr_matrix:
-    """Map reduced unknowns (nK+d) to full tensor hat coefficients n(K+1)."""
-    top = sp.identity(n * K, format="csr")
-    if V.d > 0:
-        return sp.bmat(
-            [[top, None], [sp.csr_matrix((n, n * K)), sp.csr_matrix(V.V)]],
-            format="csr",
-        )
-    return sp.vstack([top, sp.csr_matrix((n, n * K))], format="csr")
 
 
 def implicit_euler_reference(sys: DaeSystem, mu, grid: TimeGrid) -> np.ndarray:

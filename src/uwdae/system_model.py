@@ -492,7 +492,7 @@ def homogenize(
             raise InconsistentExtension(
                 f"extension has dimension {probe.shape[0]}, system has {sys.n}"
             )
-        if not np.allclose(probe[:, 0], v, atol=1e-12 * max(1.0, np.abs(v).max())):
+        if not np.allclose(probe[:, 0], v, rtol=0, atol=1e-12 * max(1.0, np.abs(v).max())):
             raise InconsistentExtension("extension does not match x0 at t = 0")
         for theta_a, Aq in sys.A.terms:
             Aq = sp.csr_matrix(Aq)

@@ -1,7 +1,7 @@
 """Uniform time grids, hat bases and their exact Gram matrices.
 
-The three (K+1) x (K+1) matrices hold the pairwise L2 products of the
-piecewise-linear nodal basis and of its derivatives:
+The three sparse tridiagonal (K+1) x (K+1) matrices hold the pairwise L2
+products of the piecewise-linear nodal basis and of its derivatives:
 
 * ``Kt[k,l] = <sigma_k', sigma_l'>``   (stiffness)
 * ``Lt[k,l] = <sigma_k,  sigma_l>``    (mass)
@@ -27,16 +27,9 @@ __all__ = [
     "sample_on_grid",
     "prolongation_matrix",
     "prolong_control",
-    "cross_grams",
     "hat_values",
     "hat_derivative_values",
 ]
-
-# 2-point Gauss rule on [0, 1]; exact for polynomials up to degree 3,
-# which covers all products of piecewise linears appearing here.
-_GAUSS2_X = np.array([0.5 - 0.5 / np.sqrt(3.0), 0.5 + 0.5 / np.sqrt(3.0)])
-_GAUSS2_W = np.array([0.5, 0.5])
-
 
 @dataclass(frozen=True)
 class TimeGrid:
@@ -65,9 +58,9 @@ class TimeGrid:
 
 @dataclass(frozen=True)
 class GramTriplet:
-    Kt: np.ndarray
-    Lt: np.ndarray
-    Ot: np.ndarray
+    Kt: sp.csr_matrix
+    Lt: sp.csr_matrix
+    Ot: sp.csr_matrix
 
     def blocks(self, name: str):
         """Return (M11, M12, M21, M22) splitting off the last node."""
@@ -91,12 +84,8 @@ def build_grams(grid: TimeGrid) -> GramTriplet:
     return GramTriplet(Kt=Kt, Lt=Lt, Ot=Ot)
 
 
-def _tridiag(main, upper, lower) -> np.ndarray:
-    n = len(main)
-    M = np.diag(main)
-    M += np.diag(np.full(n - 1, upper), k=1)
-    M += np.diag(np.full(n - 1, lower), k=-1)
-    return M
+def _tridiag(main, upper, lower) -> sp.csr_matrix:
+    return sp.diags([lower, main, upper], [-1, 0, 1], shape=(len(main),) * 2, format="csr")
 
 
 def sample_on_grid(fun, grid: TimeGrid) -> np.ndarray:
@@ -137,11 +126,18 @@ def hat_values(grid: TimeGrid, t: np.ndarray) -> sp.csr_matrix:
     return sp.csr_matrix((vals, (rows, cols)), shape=(len(np.atleast_1d(t)), grid.K + 1))
 
 
+def _node_coordinate(grid: TimeGrid, t: np.ndarray) -> np.ndarray:
+    """t/dt, snapped to the nearest node within its round-off 8 eps max(1, t/dt)."""
+    s = t / grid.dt
+    k = np.rint(s)
+    return np.where(np.abs(s - k) <= 8 * np.finfo(float).eps * np.maximum(1.0, s), k, s)
+
+
 def _hat_eval_coo(grid: TimeGrid, t: np.ndarray):
     t = np.atleast_1d(np.asarray(t, dtype=float))
-    dt, K = grid.dt, grid.K
-    cell = np.clip(np.floor(t / dt).astype(int), 0, K - 1)
-    local = t / dt - cell
+    s = _node_coordinate(grid, t)
+    cell = np.clip(np.floor(s).astype(int), 0, grid.K - 1)
+    local = s - cell
     idx = np.arange(len(t))
     rows = np.concatenate([idx, idx])
     cols = np.concatenate([cell, cell + 1])
@@ -149,74 +145,23 @@ def _hat_eval_coo(grid: TimeGrid, t: np.ndarray):
     return rows, cols, vals
 
 
-def hat_derivative_values(grid: TimeGrid, t: np.ndarray, node_average: bool = True) -> sp.csr_matrix:
+def hat_derivative_values(grid: TimeGrid, t: np.ndarray) -> sp.csr_matrix:
     """Sparse (len(t), K+1) matrix of derivative values sigma_k'(t).
 
     Derivatives are piecewise constant; at interior grid nodes the average
-    of the one-sided limits is returned when ``node_average`` is set.
+    of the one-sided limits is returned.
     """
     t = np.atleast_1d(np.asarray(t, dtype=float))
     dt, K = grid.dt, grid.K
-    cell = np.clip(np.floor(t / dt).astype(int), 0, K - 1)
+    s = _node_coordinate(grid, t)
+    k = np.floor(s).astype(int)
+    node = (s == k) & (k > 0) & (k < K)
+    cell = np.clip(k, 0, K - 1)
+    left = np.where(node, k - 1, cell)
+    right = np.where(node, k + 1, cell + 1)
+    slope = np.where(node, 0.5 / dt, 1.0 / dt)
     idx = np.arange(len(t))
-    rows = np.concatenate([idx, idx])
-    cols = np.concatenate([cell, cell + 1])
-    vals = np.concatenate([np.full(len(t), -1.0 / dt), np.full(len(t), 1.0 / dt)])
-    M = sp.csr_matrix((vals, (rows, cols)), shape=(len(t), K + 1))
-    if node_average:
-        on_node = np.isclose(t / dt, np.round(t / dt), atol=1e-12)
-        interior = on_node & (t > dt * 0.5) & (t < grid.T - dt * 0.5)
-        if np.any(interior):
-            k = np.round(t[interior] / dt).astype(int)
-            i = idx[interior]
-            left = sp.csr_matrix(
-                (
-                    np.concatenate([np.full(len(k), -1.0 / dt), np.full(len(k), 1.0 / dt)]),
-                    (np.concatenate([i, i]), np.concatenate([k - 1, k])),
-                ),
-                shape=M.shape,
-            )
-            right = sp.csr_matrix(
-                (
-                    np.concatenate([np.full(len(k), -1.0 / dt), np.full(len(k), 1.0 / dt)]),
-                    (np.concatenate([i, i]), np.concatenate([k, k + 1])),
-                ),
-                shape=M.shape,
-            )
-            mask = sp.csr_matrix(
-                (np.ones(len(k)), (i, np.zeros(len(k), dtype=int))), shape=(M.shape[0], 1)
-            )
-            # replace rows at interior nodes by the one-sided average
-            keep = sp.diags(1.0 - np.asarray(mask.todense()).ravel())
-            put = sp.diags(np.asarray(mask.todense()).ravel())
-            M = keep @ M + put @ ((left + right) * 0.5)
-    return M
-
-
-def cross_grams(basis_grid: TimeGrid, test_grid: TimeGrid):
-    """Exact cross Gram matrices between hat bases on two uniform grids.
-
-    Returns (Kx, O1, O2, Lx), each (K_b+1) x (K_t+1), with
-    Kx[k,l] = <sigma_k_b', sigma_l_t'>, O1[k,l] = <sigma_k_b', sigma_l_t>,
-    O2[k,l] = <sigma_k_b, sigma_l_t'>, Lx[k,l] = <sigma_k_b, sigma_l_t>.
-
-    Quadrature runs per cell of the union grid (2-point Gauss, exact for
-    the piecewise-quadratic integrands).
-    """
-    if abs(basis_grid.T - test_grid.T) > 1e-12 * max(basis_grid.T, test_grid.T):
-        raise GridMismatch("cross Grams require a shared horizon")
-    cuts = np.union1d(basis_grid.nodes, test_grid.nodes)
-    a, b = cuts[:-1], cuts[1:]
-    h = b - a
-    pts = (a[:, None] + np.outer(h, _GAUSS2_X)).ravel()
-    wts = np.outer(h, _GAUSS2_W).ravel()
-    W = sp.diags(wts)
-    Vb = hat_values(basis_grid, pts)
-    Vt = hat_values(test_grid, pts)
-    Db = hat_derivative_values(basis_grid, pts, node_average=False)
-    Dt = hat_derivative_values(test_grid, pts, node_average=False)
-    Kx = (Db.T @ W @ Dt).toarray()
-    O1 = (Db.T @ W @ Vt).toarray()
-    O2 = (Vb.T @ W @ Dt).toarray()
-    Lx = (Vb.T @ W @ Vt).toarray()
-    return Kx, O1, O2, Lx
+    return sp.csr_matrix(
+        (np.concatenate([-slope, slope]), (np.concatenate([idx, idx]), np.concatenate([left, right]))),
+        shape=(len(t), K + 1),
+    )

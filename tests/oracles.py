@@ -75,6 +75,40 @@ def trial_gram(sys, mu, grid, V, order: int = 2) -> np.ndarray:
     return np.einsum("ait,t,bit->ab", xi, wts, xi)
 
 
+def cross_grams(basis_grid, test_grid):
+    """Cross Gram matrices between hat bases on two grids of one horizon.
+
+    Returns (Kx, O1, O2, Lx), each (K_b+1) x (K_t+1), with
+    Kx[k,l] = <sigma_k_b', sigma_l_t'>, O1[k,l] = <sigma_k_b', sigma_l_t>,
+    O2[k,l] = <sigma_k_b, sigma_l_t'>, Lx[k,l] = <sigma_k_b, sigma_l_t>.
+    Two Gauss points per cell of the union grid are exact for the
+    piecewise-quadratic integrands.
+    """
+    pts, wts = gauss_on_cells(np.union1d(basis_grid.nodes, test_grid.nodes), 2)
+
+    def tables(grid):
+        ks = range(grid.K + 1)
+        H = np.array([hat(k, grid.K, grid.dt, pts) for k in ks])
+        D = np.array([hat_dot(k, grid.K, grid.dt, pts) for k in ks])
+        return H, D
+
+    Hb, Db = tables(basis_grid)
+    Ht, Dt = tables(test_grid)
+    return (Db * wts) @ Dt.T, (Db * wts) @ Ht.T, (Hb * wts) @ Dt.T, (Hb * wts) @ Ht.T
+
+
+def cross_stiffness(sys, mu, basis_grid, test_grid, V) -> np.ndarray:
+    """L2 products of trial functions on two grids of one horizon.
+
+    Entry (j, i) is <xi_i on basis_grid, xi_j on test_grid>, by two Gauss
+    points per cell of the union grid; coincident grids give trial_gram.
+    """
+    pts, wts = gauss_on_cells(np.union1d(basis_grid.nodes, test_grid.nodes), 2)
+    xb = trial_functions(sys, mu, basis_grid, V, pts)
+    xt = trial_functions(sys, mu, test_grid, V, pts)
+    return np.einsum("ait,t,bit->ba", xb, wts, xt)
+
+
 def moment_vector(sys, mu, grid, V, reference, order: int = 10) -> np.ndarray:
     """Quadrature of <x*, xi_j> for every trial function."""
     pts, wts = gauss_on_cells(grid.nodes, order)

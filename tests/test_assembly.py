@@ -22,7 +22,7 @@ def test_algebraic_stiffness_is_mass_matrix():
     grid = TimeGrid(T=1.0, K=2)
     V = kernel_basis(sys.E)
     B = assemble_stiffness(sys, None, grid, V)
-    Lt = build_grams(grid).Lt
+    Lt = build_grams(grid).Lt.toarray()
     assert np.allclose(B.matrix.toarray(), Lt, atol=1e-15)
     assert B.B11.shape == (2, 2) and B.B22.shape == (1, 1)
     assert np.isclose(B.B22[0, 0], grid.dt / 3.0)
@@ -48,7 +48,7 @@ def test_integrator_stiffness_is_derivative_gram():
     B = assemble_stiffness(pure, None, grid, V)
     assert V.d == 0
     assert B.dim == 4
-    Kt = build_grams(grid).Kt
+    Kt = build_grams(grid).Kt.toarray()
     assert np.allclose(B.matrix.toarray(), Kt[:4, :4], atol=1e-13)
 
 
@@ -89,7 +89,7 @@ def test_rhs_operator_scalar_algebraic_is_mass():
     grid = TimeGrid(T=1.0, K=2)
     V = kernel_basis(sys.E)
     op = assemble_rhs_operator(grid, 1, V)
-    Lt = build_grams(grid).Lt
+    Lt = build_grams(grid).Lt.toarray()
     # V = [+-1]; fold the sign into the comparison
     sign = V.V[0, 0]
     expect = Lt.copy()

@@ -234,6 +234,15 @@ def test_greedy_manifest_without_control(rlc_manifest, tmp_path, capsys):
     assert abs(x_N[0] - norm) <= 1e-10 * norm
 
 
+def test_rbsolve_summary_reports_no_residual(rlc_manifest, tmp_path):
+    # rbsolve computes no residual, so its summary must not print one
+    out, rb = tmp_path / "greedy", tmp_path / "rb"
+    assert main(["greedy", "--manifest", str(rlc_manifest), "--K", "16", "--out", str(out)]) == EXIT_OK
+    assert main(["rbsolve", "--model", str(out / "model"), "--mu", "0", "--out", str(rb)]) == EXIT_OK
+    summary = json.loads((rb / "summary.json").read_text())
+    assert set(summary) == {"dims", "estimator", "wall_ms"}
+
+
 def test_greedy_rejects_parameter_dependent_A(tmp_path, capsys):
     import dataclasses
 

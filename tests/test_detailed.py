@@ -17,7 +17,7 @@ from uwdae.detailed import (
     output_trajectory,
     solve_detailed,
 )
-from uwdae.errors import FactorizationFailure, OutOfDomain, StepSingular
+from uwdae.errors import FactorizationFailure, GridMismatch, OutOfDomain, StepSingular
 
 import oracles
 from conftest import make_algebraic, make_scalar_ode, scalar_ode_exact
@@ -205,6 +205,60 @@ def test_estimator_raw_equals_nested_solution_distance():
     fine = solve_detailed(sys, None, TimeGrid(T=1.0, K=32))
     raw = estimator_detailed(coarse, refinement=2, corrected=False)
     assert abs(raw - l2_difference(fine, coarse)) < 1e-10
+
+
+@pytest.mark.parametrize("system", ["rlc", "scalar"])
+def test_prolongation_reproduces_cross_stiffness(system):
+    # B_f J equals the quadrature products of coarse and fine trial functions
+    from dataclasses import replace
+
+    from uwdae import kernel_basis
+    from uwdae.bench import RlcParams, make_rlc
+
+    sys = make_rlc(RlcParams()) if system == "rlc" else make_scalar_ode()
+    coarse = solve_detailed(sys, None, TimeGrid(T=sys.T, K=6))
+    assert coarse.V.d == (2 if system == "rlc" else 0)
+    for r in (2, 3):
+        fine = DetailedOperator(sys, coarse.grid.refine(r))
+        J = np.column_stack(
+            [replace(coarse, coeffs=e).prolonged_coeffs(fine.grid) for e in np.eye(coarse.coeffs.size)]
+        )
+        got = fine.stiffness.matrix @ J
+        want = oracles.cross_stiffness(sys, None, coarse.grid, fine.grid, kernel_basis(sys.E))
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+def test_l2_difference_matches_quadrature():
+    from uwdae.bench import RlcParams, make_rlc
+
+    for sys in (make_rlc(RlcParams()), make_scalar_ode()):
+        coarse = solve_detailed(sys, None, TimeGrid(T=sys.T, K=12))
+        fine = solve_detailed(sys, None, TimeGrid(T=sys.T, K=36))
+        want = l2_error(fine, lambda t: evaluate_state(coarse, t), quad_order=2)
+        assert abs(l2_difference(fine, coarse) - want) <= 1e-10 * want
+        assert l2_difference(coarse, coarse) == 0.0
+
+
+def test_l2_difference_rejects_unnested_or_foreign_solutions():
+    sys = make_scalar_ode()
+    a = solve_detailed(sys, None, TimeGrid(T=1.0, K=10))
+    with pytest.raises(GridMismatch):
+        l2_difference(solve_detailed(sys, None, TimeGrid(T=1.0, K=15)), a)
+    with pytest.raises(ValueError):
+        l2_difference(solve_detailed(make_scalar_ode(), None, TimeGrid(T=1.0, K=20)), a)
+
+
+def test_rlc_large_k_error_and_estimator():
+    # K = 16384 puts Gauss points within 1e-5 k cells of nodes past k ~ 7000
+    from uwdae.bench import RlcParams, make_rlc, rlc_analytic
+
+    p = RlcParams()
+    sol = solve_detailed(make_rlc(p), None, TimeGrid(T=p.T, K=16384))
+    exact = lambda t: rlc_analytic(p, t)
+    err4 = l2_error(sol, exact, quad_order=4)
+    err8 = l2_error(sol, exact, quad_order=8)
+    assert abs(err4 - err8) <= 1e-10 * err8
+    assert abs(estimator_detailed(sol) / err8 - 1.0) <= 1e-3
 
 
 def test_estimator_rejects_bad_refinement():

@@ -1,5 +1,7 @@
 """Tests for parameterized system types, kernel bases and homogenization."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -337,6 +339,14 @@ def test_homogenize_supplied_extension_keeps_derivative_term():
     hom = homogenize(sys, extensions=ext)
     f = sample_rhs(hom.rhs, None, np.array([0.0, 1.0]))
     assert np.allclose(f, [[-2.0, -3.0]])
+
+
+def test_homogenize_rejects_extension_off_at_large_x0():
+    # an absolute check: 1e-3 off at |x0| = 1e3 is inside a default rtol of 1e-5
+    sys = replace(_decay_ode(), x0=AffineOperator(terms=((theta_constant(1.0), np.array([1e3])),)))
+    bad = [(constant_sampler([1e3 + 1e-3]), constant_sampler([0.0]))]
+    with pytest.raises(InconsistentExtension):
+        homogenize(sys, extensions=bad)
 
 
 def test_homogenize_dimension_mismatch():

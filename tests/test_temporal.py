@@ -2,13 +2,13 @@
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from uwdae import TimeGrid, build_grams, sample_on_grid
 from uwdae.errors import GridMismatch
 from uwdae.temporal import (
-    cross_grams,
     hat_derivative_values,
     hat_values,
     prolong_control,
@@ -37,9 +37,9 @@ def test_grams_frozen_k2():
     Lt = np.array([[1 / 6, 1 / 12, 0], [1 / 12, 1 / 3, 1 / 12], [0, 1 / 12, 1 / 6]])
     Kt = np.array([[2.0, -2.0, 0.0], [-2.0, 4.0, -2.0], [0.0, -2.0, 2.0]])
     Ot = np.array([[-0.5, -0.5, 0.0], [0.5, 0.0, -0.5], [0.0, 0.5, 0.5]])
-    assert np.allclose(g.Lt, Lt, atol=1e-15)
-    assert np.allclose(g.Kt, Kt, atol=1e-15)
-    assert np.allclose(g.Ot, Ot, atol=1e-15)
+    assert np.allclose(g.Lt.toarray(), Lt, atol=1e-15)
+    assert np.allclose(g.Kt.toarray(), Kt, atol=1e-15)
+    assert np.allclose(g.Ot.toarray(), Ot, atol=1e-15)
 
 
 def test_gram_blocks_partition():
@@ -47,7 +47,7 @@ def test_gram_blocks_partition():
     M11, M12, M21, M22 = g.blocks("Lt")
     assert M11.shape == (3, 3) and M12.shape == (3, 1)
     assert M21.shape == (1, 3) and M22.shape == (1, 1)
-    assert np.allclose(np.block([[M11, M12], [M21, M22]]), g.Lt)
+    assert np.allclose(sp.bmat([[M11, M12], [M21, M22]]).toarray(), g.Lt.toarray())
 
 
 @given(K=st.integers(1, 40), T=st.floats(0.1, 20, allow_nan=False))
@@ -57,16 +57,16 @@ def test_gram_identities(K, T):
     g = build_grams(grid)
     dt = grid.dt
     # constants are in the kernel of the derivative Gram
-    assert np.abs(g.Kt.sum(axis=1)).max() < 1e-11 / dt
+    assert np.abs(g.Kt.toarray().sum(axis=1)).max() < 1e-11 / dt
     # row sums of the mass matrix are the integrals of the hats
-    sums = g.Lt.sum(axis=1)
+    sums = g.Lt.toarray().sum(axis=1)
     expect = np.full(K + 1, dt)
     expect[0] = expect[-1] = dt / 2
     assert np.allclose(sums, expect, atol=1e-14 * max(1.0, dt))
     # integration by parts on hats
     bdry = np.zeros((K + 1, K + 1))
     bdry[0, 0], bdry[-1, -1] = -1.0, 1.0
-    assert np.array_equal(g.Ot + g.Ot.T, bdry)
+    assert np.array_equal((g.Ot + g.Ot.T).toarray(), bdry)
 
 
 def test_grams_match_quadrature():
@@ -75,9 +75,9 @@ def test_grams_match_quadrature():
     pts, wts = oracles.gauss_on_cells(grid.nodes, 2)
     H = np.array([oracles.hat(k, grid.K, grid.dt, pts) for k in range(grid.K + 1)])
     D = np.array([oracles.hat_dot(k, grid.K, grid.dt, pts) for k in range(grid.K + 1)])
-    assert np.allclose(g.Lt, (H * wts) @ H.T, rtol=1e-14, atol=1e-15)
-    assert np.allclose(g.Kt, (D * wts) @ D.T, rtol=1e-14, atol=1e-12)
-    assert np.allclose(g.Ot, (D * wts) @ H.T, rtol=1e-14, atol=1e-14)
+    assert np.allclose(g.Lt.toarray(), (H * wts) @ H.T, rtol=1e-14, atol=1e-15)
+    assert np.allclose(g.Kt.toarray(), (D * wts) @ D.T, rtol=1e-14, atol=1e-12)
+    assert np.allclose(g.Ot.toarray(), (D * wts) @ H.T, rtol=1e-14, atol=1e-14)
 
 
 def test_sample_on_grid_linear():
@@ -154,9 +154,23 @@ def test_hat_values_partition_of_unity():
 def test_hat_derivative_node_average():
     grid = TimeGrid(T=1.0, K=2)
     # at the interior node the one-sided slopes of sigma_1 are +2 and -2
-    D = hat_derivative_values(grid, np.array([0.5]), node_average=True).toarray()
+    D = hat_derivative_values(grid, np.array([0.5])).toarray()
     assert abs(D[0, 1]) < 1e-12
     assert np.isclose(D[0, 0], -1.0) and np.isclose(D[0, 2], 1.0)
+
+
+def test_hat_derivative_classifies_nodes_at_large_k():
+    # Gauss-4 points 0.069 cells from node 60000 lie inside their cells;
+    # only the node itself gets the average of the one-sided slopes
+    grid = TimeGrid(T=4 * np.pi, K=65536)
+    k, x = 60000, np.polynomial.legendre.leggauss(4)[0][0] * 0.5 + 0.5  # 0.0694
+    t = np.array([(k - x) * grid.dt, (k + x) * grid.dt, grid.nodes[k]])
+    D = hat_derivative_values(grid, t)
+    s = 1.0 / grid.dt
+    expect = [([k - 1, k], [-s, s]), ([k, k + 1], [-s, s]), ([k - 1, k + 1], [-s / 2, s / 2])]
+    for row, (cols, vals) in zip(D, expect):
+        assert sorted(row.indices.tolist()) == cols
+        assert np.allclose(row.toarray()[0, cols], vals, rtol=1e-14, atol=0)
 
 
 # -- cross grams -------------------------------------------------------------
@@ -165,17 +179,21 @@ def test_hat_derivative_node_average():
 def test_cross_grams_coincident_grids():
     grid = TimeGrid(T=1.5, K=5)
     g = build_grams(grid)
-    Kx, O1, O2, Lx = cross_grams(grid, grid)
-    assert np.allclose(Kx, g.Kt, atol=1e-12)
-    assert np.allclose(Lx, g.Lt, atol=1e-14)
-    assert np.allclose(O1, g.Ot, atol=1e-13)
-    assert np.allclose(O2, g.Ot.T, atol=1e-13)
+    Kx, O1, O2, Lx = oracles.cross_grams(grid, grid)
+    assert np.allclose(Kx, g.Kt.toarray(), atol=1e-12)
+    assert np.allclose(Lx, g.Lt.toarray(), atol=1e-14)
+    assert np.allclose(O1, g.Ot.toarray(), atol=1e-13)
+    assert np.allclose(O2, g.Ot.T.toarray(), atol=1e-13)
 
 
 def test_cross_grams_nested_refinement():
+    # a coarse hat is the prolonged sum of fine hats, so every cross Gram
+    # is P^T times the fine Gram: the temporal form of B_f J
     coarse, fine = TimeGrid(T=1.0, K=3), TimeGrid(T=1.0, K=6)
-    Kx, O1, O2, Lx = cross_grams(coarse, fine)
-    pts, wts = oracles.gauss_on_cells(fine.nodes, 2)
-    Hc = np.array([oracles.hat(k, 3, coarse.dt, pts) for k in range(4)])
-    Hf = np.array([oracles.hat(k, 6, fine.dt, pts) for k in range(7)])
-    assert np.allclose(Lx, (Hc * wts) @ Hf.T, atol=1e-14)
+    Kx, O1, O2, Lx = oracles.cross_grams(coarse, fine)
+    Pt = prolongation_matrix(coarse, fine).T
+    g = build_grams(fine)
+    assert np.allclose(Lx, (Pt @ g.Lt).toarray(), atol=1e-14)
+    assert np.allclose(Kx, (Pt @ g.Kt).toarray(), atol=1e-12)
+    assert np.allclose(O1, (Pt @ g.Ot).toarray(), atol=1e-13)
+    assert np.allclose(O2, (Pt @ g.Ot.T).toarray(), atol=1e-13)
