@@ -227,8 +227,11 @@ def cmd_rbsolve(args) -> int:
     model = load_model(args.model)
     mu = _parse_mu(args.mu)
     if mu is None and args.control:
-        _, u = read_control_csv(args.control)
-        mu = u.ravel()
+        if model.control_grid is None:
+            print(f"{args.model} records no control grid; pass --mu", file=_sys.stderr)
+            return EXIT_INPUT
+        t_u, u = read_control_csv(args.control)
+        mu = pw_linear_sampler(t_u, u)(model.control_grid.nodes).ravel()
     if mu is None:
         print("pass --mu or --control", file=_sys.stderr)
         return EXIT_INPUT

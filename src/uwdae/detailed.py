@@ -15,6 +15,9 @@ import numpy as np
 import scipy.linalg as la
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from numpy.lib.stride_tricks import sliding_window_view
+from scipy.linalg.blas import dtrmm, dtrsm
+from scipy.sparse.csgraph import reverse_cuthill_mckee
 
 from .errors import FactorizationFailure, GridMismatch, OutOfDomain, StepSingular
 from .assembly import (
@@ -35,6 +38,7 @@ from .temporal import (
 
 __all__ = [
     "BandedCholesky",
+    "uses_blocked_sweep",
     "DetailedSolution",
     "DetailedOperator",
     "solve_detailed",
@@ -56,6 +60,20 @@ __all__ = [
 # O(1); unlike a relative residual, the gate does not grow with cond(B) ~ K^2.
 BACKWARD_TOL = 1e-12
 
+# A multi-column solve takes the blocked level-3 sweep from this many
+# right-hand sides on a band at least this wide, LAPACK pbtrs otherwise.
+# pbtrs reads the whole band twice per column; the sweep reads it twice in
+# all but makes four BLAS calls from Python per w x w block, dim / w of
+# them, so narrow bands (RLC's w = 7) never gain.  Crossovers measured with
+# OpenBLAS on two cores are recorded in CHANGES.md.
+BLOCKED_MIN_COLUMNS = 16
+BLOCKED_MIN_BANDWIDTH = 64
+
+
+def uses_blocked_sweep(columns: int, bandwidth: int) -> bool:
+    """Whether a solve with this many right-hand sides takes the blocked sweep."""
+    return columns >= BLOCKED_MIN_COLUMNS and bandwidth >= BLOCKED_MIN_BANDWIDTH
+
 
 def gauss_points(order: int):
     """Gauss-Legendre nodes/weights on [0, 1]."""
@@ -68,17 +86,31 @@ class BandedCholesky:
 
     The half-bandwidth is read from the sparsity pattern; it is at most 2n
     in the time-node-major layout.  Factorizing is the SPD certificate.
+    An optional symmetric permutation ``perm`` (unknown ``perm[i]`` of M
+    becomes unknown i of the factored matrix) narrows the band; ``solve``
+    permutes right-hand sides and solutions, so callers see M itself.
     """
 
-    def __init__(self, M: sp.spmatrix):
-        lower = sp.tril(M, format="coo")
-        lower.sum_duplicates()
-        offset = lower.row - lower.col
+    def __init__(self, M: sp.spmatrix, perm: np.ndarray | None = None):
+        M = sp.csr_matrix(M)
+        if not M.has_canonical_format:  # summed on a copy: M may share the caller's arrays
+            M = M.copy()
+            M.sum_duplicates()
+        entries = M.tocoo()
+        row, col = entries.row, entries.col
+        if perm is not None:
+            position = np.empty_like(perm)
+            position[perm] = np.arange(perm.size)
+            row, col = position[row], position[col]
+        lower = row >= col
+        col, offset = col[lower], row[lower] - col[lower]
+        self.perm = perm
         self.bandwidth = int(offset.max(initial=0))
-        ab = np.zeros((self.bandwidth + 1, M.shape[0]))
-        ab[offset, lower.col] = lower.data
+        # pbtrf factors the Fortran-ordered band in place: it is held once
+        ab = np.zeros((self.bandwidth + 1, M.shape[0]), order="F")
+        ab[offset, col] = entries.data[lower]
         try:
-            self._cb = la.cholesky_banded(ab, lower=True, check_finite=False)
+            self._cb = la.cholesky_banded(ab, overwrite_ab=True, lower=True, check_finite=False)
         except np.linalg.LinAlgError as exc:
             raise FactorizationFailure(f"Cholesky factorization failed: {exc}") from exc
         self.norm1 = float(spla.norm(M, 1))  # also the max norm: M is symmetric
@@ -86,7 +118,69 @@ class BandedCholesky:
     def solve(self, b: np.ndarray) -> np.ndarray:
         """Solve for one right-hand side (dim,) or several (dim, k)."""
         b = np.asarray(b, dtype=float)
-        return la.cho_solve_banded((self._cb, True), b, check_finite=False)
+        if self.perm is not None:
+            b = b[self.perm]
+        if uses_blocked_sweep(1 if b.ndim == 1 else b.shape[1], self.bandwidth):
+            y = self.solve_blocked(b.reshape(b.shape[0], -1)).reshape(b.shape)
+        else:
+            y = la.cho_solve_banded((self._cb, True), b, check_finite=False)
+        if self.perm is None:
+            return y
+        x = np.empty_like(y)
+        x[self.perm] = y
+        return x
+
+    def solve_blocked(self, b: np.ndarray) -> np.ndarray:
+        """Solve L L^T y = b for b (dim, k), in the factor's own ordering.
+
+        With w the half-bandwidth, L is block bidiagonal in w x w blocks:
+        lower-triangular diagonal blocks D_i and upper-triangular coupling
+        blocks C_i below them.  In the Fortran-ordered band storage
+        L[i, j] = flat[j w + i], so both are contiguous w*w runs of
+        ``flat``, read as zero-copy matrices with leading dimension w; their
+        unused triangles hold other band entries, which TRSM and TRMM never
+        read.  Forward sweep X_i <- D_i^-1 (X_i - C_{i-1} X_{i-1}), backward
+        sweep X_i <- D_i^-T (X_i - C_i^T X_{i+1}).  The coupling products use
+        TRMM, not GEMM: with two OpenBLAS threads, alternating GEMM and TRSM
+        made the sweep twenty times slower.
+        """
+        w = self.bandwidth
+        dim, k = b.shape
+        nblk = -(-dim // w)
+        last = dim - (nblk - 1) * w  # rows of the last, possibly partial, block
+        flat = self._cb.reshape(-1, order="F")
+        windows = sliding_window_view(flat, w * w)
+        view = lambda start: windows[start].reshape(w, w, order="F")
+        D = [view(i * w * (w + 1)) for i in range(nblk - 1)]
+        C = [view(i * w * (w + 1) + w) for i in range(nblk - 2)]
+        # the last block is padded to w rows: its diagonal block with an
+        # identity, its coupling block (a masked copy) with zero rows, so the
+        # padding stays zero and is never read into the other blocks
+        start = (nblk - 1) * w * (w + 1)
+        D_last = np.eye(w)
+        D_last[:last, :last] = np.tril(
+            sliding_window_view(flat, w * last)[start].reshape(w, last, order="F")[:last]
+        )
+        D.append(D_last)
+        if nblk > 1:
+            C_last = np.triu(view((nblk - 2) * w * (w + 1) + w))
+            C_last[last:] = 0.0
+            C.append(C_last)
+        # one C-ordered (k, w) slab per block: block i is X[i].T, F-contiguous
+        X = np.zeros((nblk, w, k))
+        X.reshape(-1, k)[:dim] = b
+        X = np.ascontiguousarray(X.transpose(0, 2, 1))
+        for i in range(nblk):
+            Xi = X[i].T
+            if i:
+                Xi -= dtrmm(1.0, C[i - 1], X[i - 1].T)
+            Xi[...] = dtrsm(1.0, D[i], Xi, lower=1, overwrite_b=True)
+        for i in reversed(range(nblk)):
+            Xi = X[i].T
+            if i < nblk - 1:
+                Xi -= dtrmm(1.0, C[i], X[i + 1].T, trans_a=1)
+            Xi[...] = dtrsm(1.0, D[i], Xi, lower=1, trans_a=1, overwrite_b=True)
+        return X.transpose(0, 2, 1).reshape(nblk * w, k)[:dim]
 
     def check(self, residual: np.ndarray, x: np.ndarray, b: np.ndarray) -> None:
         """Raise unless ||M x - b|| <= tol (||M|| ||x|| + ||b||) in every column."""
@@ -122,7 +216,29 @@ class DetailedOperator:
 
     @cached_property
     def factor(self) -> BandedCholesky:
-        return BandedCholesky(self.stiffness.matrix)
+        return BandedCholesky(self.stiffness.matrix, perm=self._band_ordering())
+
+    def _band_ordering(self) -> np.ndarray | None:
+        """Reverse Cuthill-McKee order of the state, applied at every time node.
+
+        The stiffness couples state components like the pattern of
+        E E^T + A A^T + E A^T + A E^T, that is of S S^T with S = |E| + |A|.
+        The order p acts as I_K (x) p on the nodal unknowns and leaves the
+        trailing d kernel unknowns in place.  None unless p strictly narrows
+        the band of that pattern.
+        """
+        S = abs(sp.csr_matrix(self.sys.E)) + abs(self.sys.A_at(self.mu_A))
+        coupling = (S @ S.T).tocsr()
+        p = reverse_cuthill_mckee(coupling, symmetric_mode=True)
+        pattern = coupling.tocoo()
+        position = np.empty_like(p)
+        position[p] = np.arange(p.size)
+        band = lambda pos: int(np.abs(pos[pattern.row] - pos[pattern.col]).max(initial=0))
+        if band(position) >= band(np.arange(p.size)):
+            return None
+        n, K = self.sys.n, self.grid.K
+        nodal = (n * np.arange(K)[:, None] + p[None, :]).ravel()
+        return np.concatenate([nodal, np.arange(n * K, self.dim)])
 
     @property
     def dim(self) -> int:
@@ -132,20 +248,28 @@ class DetailedOperator:
         samples = sample_rhs(self.sys.rhs, mu, self.grid.nodes)
         return self.rhs_op.apply(vectorize_samples(samples))
 
+    def _parameter(self, mu) -> np.ndarray:
+        """The parameter of a solve: any for a parameter-independent A, else mu_A."""
+        if mu is None:
+            return self.mu_A
+        mu = np.atleast_1d(np.asarray(mu, float))
+        if not self.sys.parameter_independent_A and not np.array_equal(mu, self.mu_A):
+            raise ValueError(
+                f"operator assembled at mu={self.mu_A.tolist()} cannot solve at "
+                f"mu={mu.tolist()}: A depends on the parameter"
+            )
+        return mu
+
     def solve_load(self, load: np.ndarray, mu=None) -> "DetailedSolution":
+        mu = self._parameter(mu)
         coeffs = self.factor.solve(load)
         self.factor.check(self.stiffness.matrix @ coeffs - load, coeffs, load)
         return DetailedSolution(
-            coeffs=coeffs,
-            grid=self.grid,
-            V=self.V,
-            mu=self.mu_A if mu is None else np.atleast_1d(np.asarray(mu, float)),
-            sys=self.sys,
-            op=self,
+            coeffs=coeffs, grid=self.grid, V=self.V, mu=mu, sys=self.sys, op=self
         )
 
     def solve(self, mu=None) -> "DetailedSolution":
-        mu = self.mu_A if mu is None else mu
+        mu = self._parameter(mu)
         return self.solve_load(self.rhs_vector(mu), mu=mu)
 
 

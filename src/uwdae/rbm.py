@@ -76,6 +76,7 @@ class AffineRhsFamily:
     Ftilde: np.ndarray  # (dim, Q_f)
     thetas: tuple[ThetaExpression, ...]
     parameter_dim: int
+    control_grid: TimeGrid | None = None  # nodes of the control samples, if any
 
     @property
     def Qf(self) -> int:
@@ -103,7 +104,9 @@ def control_rhs_family(
         raise ValueError("reduced pipeline requires parameter-independent A")
     cols = []
     thetas: list[ThetaExpression] = []
-    if sys.control_matrix is not None:
+    if sys.control_matrix is None:
+        control_grid = None
+    else:
         control_grid = grid if control_grid is None else control_grid
         B = np.asarray(sys.control_matrix, dtype=float)
         Ku = control_grid.K
@@ -122,6 +125,7 @@ def control_rhs_family(
         Ftilde=np.column_stack(cols),
         thetas=tuple(thetas),
         parameter_dim=max(P1 + p2, 1),
+        control_grid=control_grid,
     )
 
 
@@ -161,6 +165,7 @@ class ReducedModel:
     parameter_dim: int
     grid: TimeGrid
     rng_seed: int = 0
+    control_grid: TimeGrid | None = None  # nodes of the control samples in mu
 
     @property
     def N(self) -> int:
@@ -189,6 +194,7 @@ class ReducedModel:
             parameter_dim=self.parameter_dim,
             grid=self.grid,
             rng_seed=self.rng_seed,
+            control_grid=self.control_grid,
         )
 
 
@@ -292,6 +298,7 @@ def greedy(
         parameter_dim=family.parameter_dim,
         grid=op.grid,
         rng_seed=train.rng_seed,
+        control_grid=family.control_grid,
     )
     return model, history
 
@@ -345,6 +352,8 @@ def save_model(model: ReducedModel, directory) -> None:
         "rng_seed": model.rng_seed,
         "thetas": [theta_to_dict(t) for t in model.thetas],
     }
+    if model.control_grid is not None:
+        header["control_grid"] = {"T": model.control_grid.T, "K": model.control_grid.K}
     (path / "header.json").write_text(json.dumps(header, indent=2))
     np.save(path / "Eta.npy", model.basis.Eta)
     np.save(path / "S_N.npy", model.basis.S_N)
@@ -356,10 +365,10 @@ def save_model(model: ReducedModel, directory) -> None:
 def load_model(directory) -> ReducedModel:
     """Read a saved model; files it does not use are ignored.
 
-    Older versions also stored the reduced stiffness matrix; such
-    directories still load.  The online solve relies on the basis being
-    orthonormal, so a model whose coordinates are not orthonormal in the
-    Riesz-column Gram to ORTHONORMAL_TOL is rejected.
+    Older versions also stored the reduced stiffness matrix, or stored no
+    control grid; such directories still load.  The online solve relies on
+    the basis being orthonormal, so a model whose coordinates are not
+    orthonormal in the Riesz-column Gram to ORTHONORMAL_TOL is rejected.
     """
     path = Path(directory)
     header = json.loads((path / "header.json").read_text())
@@ -372,6 +381,7 @@ def load_model(directory) -> ReducedModel:
         raise ValueError(
             f"{path}: basis is not orthonormal (max |coords^T G coords - I| = {dev:.2e})"
         )
+    cg = header.get("control_grid")
     return ReducedModel(
         basis=ReducedBasis(
             Eta=np.load(path / "Eta.npy"),
@@ -384,4 +394,5 @@ def load_model(directory) -> ReducedModel:
         parameter_dim=header["parameter_dim"],
         grid=TimeGrid(T=header["grid"]["T"], K=header["grid"]["K"]),
         rng_seed=header["rng_seed"],
+        control_grid=None if cg is None else TimeGrid(T=cg["T"], K=cg["K"]),
     )

@@ -308,3 +308,50 @@ def test_reduce_command(tmp_path, capsys):
     errs = data[:, 1]
     assert all(a >= b for a, b in zip(errs, errs[1:]))
     assert errs[-1] <= 1e-10
+
+
+@pytest.fixture
+def stokes_model(tmp_path):
+    out = tmp_path / "greedy"
+    args = ["greedy", "--bench", "stokes", "--mg", "3", "--K", "8", "--ntrain", "20"]
+    assert main(args + ["--out", str(out)]) == EXIT_OK
+    return out / "model"
+
+
+def _rbsolve_control(model, tmp_path, name, t_u, u):
+    csv_path = tmp_path / f"{name}.csv"
+    np.savetxt(csv_path, np.column_stack([t_u, u]), delimiter=",", header="t,u_1", comments="")
+    rb = tmp_path / name
+    assert main(["rbsolve", "--model", str(model), "--control", str(csv_path), "--out", str(rb)]) == EXIT_OK
+    return np.load(rb / "x_N.npy")
+
+
+def test_rbsolve_control_reads_time_column(stokes_model, tmp_path):
+    # the samples are interpolated onto the model's control nodes, so the
+    # same values at other times are another control
+    u = np.random.default_rng(0).uniform(-1.0, 1.0, 9)
+    x_unit = _rbsolve_control(stokes_model, tmp_path, "unit", np.linspace(0.0, 1.0, 9), u)
+    x_early = _rbsolve_control(stokes_model, tmp_path, "early", np.linspace(0.0, 0.1, 9), u)
+    assert not np.allclose(x_unit, x_early)
+    # samples at the control nodes are the nodal parameter vector itself
+    rb = tmp_path / "mu"
+    mu = ",".join(repr(float(v)) for v in u)
+    assert main(["rbsolve", "--model", str(stokes_model), "--mu", mu, "--out", str(rb)]) == EXIT_OK
+    assert np.allclose(np.load(rb / "x_N.npy"), x_unit, rtol=1e-12, atol=0)
+
+
+def test_rbsolve_control_needs_control_grid(stokes_model, tmp_path, capsys):
+    # a model saved without a control grid loads for --mu, but cannot place
+    # the samples of a control file
+    header_path = stokes_model / "header.json"
+    header = json.loads(header_path.read_text())
+    del header["control_grid"]
+    header_path.write_text(json.dumps(header))
+    csv_path = tmp_path / "u.csv"
+    csv_path.write_text("t,u_1\n0.0,1.0\n1.0,2.0\n")
+    assert main(["rbsolve", "--model", str(stokes_model), "--control", str(csv_path)]) == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert "no control grid" in err
+    assert "Traceback" not in err
+    mu = ",".join(["0.5"] * header["parameter_dim"])
+    assert main(["rbsolve", "--model", str(stokes_model), "--mu", mu]) == EXIT_OK

@@ -5,7 +5,9 @@ import pytest
 import scipy.sparse as sp
 
 from uwdae import TimeGrid
+from uwdae import detailed
 from uwdae.detailed import (
+    BLOCKED_MIN_COLUMNS,
     BandedCholesky,
     DetailedOperator,
     estimator_detailed,
@@ -16,6 +18,7 @@ from uwdae.detailed import (
     l2_norm,
     output_trajectory,
     solve_detailed,
+    uses_blocked_sweep,
 )
 from uwdae.errors import FactorizationFailure, GridMismatch, OutOfDomain, StepSingular
 
@@ -155,6 +158,86 @@ def test_solve_gate_rejects_mismatched_factor():
     op.factor = BandedCholesky(2.0 * op.stiffness.matrix)
     with pytest.raises(FactorizationFailure, match="backward error"):
         op.solve(None)
+
+
+def test_solve_gate_rejects_mismatched_factor_blocked(monkeypatch):
+    # the single-column solve of a narrow band, forced through the blocked sweep
+    monkeypatch.setattr(detailed, "BLOCKED_MIN_COLUMNS", 1)
+    monkeypatch.setattr(detailed, "BLOCKED_MIN_BANDWIDTH", 1)
+    op = DetailedOperator(make_scalar_ode(), TimeGrid(T=1.0, K=16))
+    op.factor = BandedCholesky(2.0 * op.stiffness.matrix)
+    assert uses_blocked_sweep(1, op.factor.bandwidth)
+    with pytest.raises(FactorizationFailure, match="backward error"):
+        op.solve(None)
+
+
+@pytest.mark.parametrize("w, dim", [(1, 41), (3, 40), (17, 120), (70, 300)])
+def test_blocked_sweep_matches_dense_solve(w, dim):
+    # dim is not a multiple of w (but for w = 1), so the partial last block
+    # is hit; column counts lie on both sides of the pbtrs/blocked crossover
+    rng = np.random.default_rng(w)
+    M = _random_banded_spd(rng, dim, w)
+    factor = BandedCholesky(M)
+    assert factor.bandwidth == w
+    for k in (1, BLOCKED_MIN_COLUMNS - 1, BLOCKED_MIN_COLUMNS, 40):
+        b = rng.standard_normal((dim, k))
+        expect = np.linalg.solve(M.toarray(), b)
+        scale = np.abs(expect).max(axis=0)
+        for got in (factor.solve_blocked(b), factor.solve(b)):
+            assert np.all(np.abs(got - expect).max(axis=0) <= 1e-12 * scale)
+
+
+def test_band_ordering_keeps_the_solution():
+    from uwdae.bench import StokesLikeParams, make_stokes_like
+
+    sys = make_stokes_like(StokesLikeParams(m_g=4))
+    op = DetailedOperator(sys, TimeGrid(T=sys.T, K=20))
+    plain = DetailedOperator(sys, op.grid)
+    plain.factor = BandedCholesky(plain.stiffness.matrix)
+    assert op.factor.perm is not None and plain.factor.perm is None
+    assert op.factor.bandwidth < plain.factor.bandwidth
+    a, b = l2_norm(op.solve()), l2_norm(plain.solve())
+    assert abs(a - b) <= 1e-10 * b
+
+
+def test_band_ordering_narrows_stokes_band(stokes_op):
+    # 302 in the generator's velocity-then-pressure order
+    assert stokes_op.factor.bandwidth < 302
+
+
+def test_band_ordering_skipped_when_it_does_not_narrow():
+    from uwdae.bench import RlcParams, make_rlc
+
+    sys = make_rlc(RlcParams())
+    factor = DetailedOperator(sys, TimeGrid(T=sys.T, K=64)).factor
+    assert factor.bandwidth == 7
+    assert factor.perm is None
+
+
+def test_solve_rejects_foreign_parameter_of_A():
+    # x' = -mu x + 1, x(0) = 0: the operator holds A at its own mu only
+    import dataclasses
+
+    from uwdae import AffineOperator, theta_component
+
+    sys = dataclasses.replace(
+        make_scalar_ode(),
+        A=AffineOperator(terms=((theta_component(0), sp.csr_matrix([[-1.0]])),)),
+    )
+    grid = TimeGrid(T=1.0, K=256)
+    exact = lambda t: ((1.0 - np.exp(-3.0 * np.atleast_1d(t))) / 3.0)[None, :]
+    op = DetailedOperator(sys, grid)
+    with pytest.raises(ValueError, match="A depends on the parameter"):
+        op.solve([3.0])
+    with pytest.raises(ValueError, match="A depends on the parameter"):
+        op.solve_load(op.rhs_vector([3.0]), mu=[3.0])
+    assert l2_error(DetailedOperator(sys, grid, mu=[3.0]).solve([3.0]), exact) < 1e-3
+
+
+def test_solve_accepts_any_parameter_for_constant_A():
+    op = DetailedOperator(make_scalar_ode(), TimeGrid(T=1.0, K=16))
+    sol = op.solve([5.0])
+    assert np.array_equal(sol.mu, [5.0])
 
 
 def test_solve_gate_accepts_zero_load():

@@ -116,6 +116,19 @@ def test_greedy_checks_riesz_solves(stokes_system):
         greedy(op, family, train, eps=0.0, n_max=3)
 
 
+def test_greedy_checks_blocked_riesz_solves(stokes_system):
+    # Q_f = 17 columns on the unordered band of 302: the blocked sweep
+    from uwdae.detailed import uses_blocked_sweep
+
+    op = DetailedOperator(stokes_system, TimeGrid(T=stokes_system.T, K=16))
+    family = control_rhs_family(op)
+    op.factor = BandedCholesky(2.0 * op.stiffness.matrix)
+    assert uses_blocked_sweep(family.Qf, op.factor.bandwidth)
+    train = TrainingSet.uniform(family.parameter_dim, 5, seed=0)
+    with pytest.raises(FactorizationFailure, match="backward error"):
+        greedy(op, family, train, eps=0.0, n_max=3)
+
+
 def test_greedy_skips_round_off_directions():
     # the control loads span Q_f - 1 dimensions (one nodal pattern is
     # invisible to the test space); on this small grid the leftover training
