@@ -24,8 +24,7 @@ from .system_model import (
 from .temporal import GramTriplet, TimeGrid, build_grams, prolong_control, sample_on_grid
 from .assembly import (
     RhsOperator,
-    StiffnessMatrix,
-    assemble_control_rhs,
+    SpaceTimeOperator,
     assemble_rhs_operator,
     assemble_stiffness,
 )

@@ -1,9 +1,11 @@
-"""Petrov-Galerkin stiffness and right-hand-side assembly.
+"""Petrov-Galerkin stiffness and load operators in Kronecker form.
 
-Vectorization convention is time-node-major throughout: the unknown with
-index k*n + i belongs to time node k (k = 0..K-1) and state component i;
-the trailing d unknowns are the kernel-direction functions attached to
-the last node.  Sample vectors of length n*(K+1) follow the same layout.
+Vectorization is time-node-major: unknown k*n + i belongs to time node k
+(k = 0..K-1) and state component i; the trailing d unknowns are the kernel
+functions at the last node.  Samples of length n(K+1) follow the same layout.
+The stiffness is never formed as an nK x nK matrix: its nodal block (k, l) is
+sum_t T_t[k, l] S_t for T = (Kt, Ot, Ot^T, Lt) and S = (EE^T, EA^T, AE^T,
+AA^T), block tridiagonal with three distinct block rows on the uniform grid.
 """
 
 from __future__ import annotations
@@ -13,68 +15,134 @@ from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
+from numpy.lib.stride_tricks import as_strided
+from scipy.sparse.csgraph import reverse_cuthill_mckee
 
 from .errors import SingularAssembly
 from .system_model import DaeSystem, KernelBasis
-from .temporal import GramTriplet, TimeGrid, build_grams, prolong_control
+from .temporal import GramTriplet, TimeGrid, build_grams
 
 __all__ = [
-    "StiffnessMatrix",
     "RhsOperator",
+    "SpaceTimeOperator",
     "assemble_stiffness",
     "assemble_rhs_operator",
-    "assemble_control_rhs",
     "vectorize_samples",
 ]
 
-
-@dataclass(frozen=True)
-class StiffnessMatrix:
-    """Sparse SPD Gram matrix of the implied trial basis, in blocks.
-
-    ``matrix`` is the monolithic (nK+d) x (nK+d) operator, built once on
-    first access; the four blocks are kept for inspection and testing.
-    """
-
-    B11: sp.csr_matrix
-    B12: sp.csr_matrix
-    B21: sp.csr_matrix
-    B22: sp.csr_matrix
-    grid: TimeGrid
-    n: int
-    d: int
-
-    @property
-    def dim(self) -> int:
-        return self.n * self.grid.K + self.d
-
-    @cached_property
-    def matrix(self) -> sp.csr_matrix:
-        if self.d == 0:
-            return self.B11
-        return sp.bmat([[self.B11, self.B12], [self.B21, self.B22]], format="csr")
+# Entries of x per sparse product over interior nodes: many nodes at once for
+# few columns, one node for many, so that the operand stays in cache.
+PRODUCT_CHUNK = 1 << 14
 
 
 @dataclass(frozen=True)
 class RhsOperator:
-    """Maps nodal sample vectors (length n(K+1)) to load vectors f^N.
+    """Maps nodal samples of f to loads <sigma_k e_i, f_h> for the hat interpolant
+    f_h: row k of Lt on component i, and V^T of Lt's last row for the kernel."""
 
-    ``F`` has shape (n(K+1), nK+d); the load vector is F^T @ samples.
-    """
-
-    F: sp.csr_matrix
     grid: TimeGrid
     n: int
     V: KernelBasis
+    grams: GramTriplet
 
-    def apply(self, samples: np.ndarray) -> np.ndarray:
-        samples = np.asarray(samples, dtype=float).ravel()
-        if samples.size != self.F.shape[0]:
-            raise ValueError(
-                f"sample vector has length {samples.size}, "
-                f"expected {self.F.shape[0]}"
-            )
-        return self.F.T @ samples
+    @property
+    def dim(self) -> int:
+        return self.n * self.grid.K + self.V.d
+
+    def load(self, samples: np.ndarray) -> np.ndarray:
+        """Loads (dim, ...) of samples (n(K+1), ...), batched over trailing axes."""
+        samples = np.asarray(samples, dtype=float)
+        n, K = self.n, self.grid.K
+        if samples.shape[0] != n * (K + 1):
+            raise ValueError(f"sample vector has length {samples.shape[0]}, expected {n * (K + 1)}")
+        mass = self.grams.Lt @ samples.reshape(K + 1, -1)  # (K+1, n k)
+        kernel = np.einsum("id,ik->dk", self.V.V, mass[K].reshape(n, -1))
+        nodal = mass[:K].reshape(n * K, -1)
+        return np.concatenate([nodal, kernel]).reshape((self.dim,) + samples.shape[1:])
+
+
+@dataclass(frozen=True)
+class SpaceTimeOperator(RhsOperator):
+    """The SPD stiffness B of one system, parameter and grid, by its block rows.
+
+    ``rows`` act on contiguous windows of unknowns: node 0 (n x 2n, nodes 0
+    and 1), an interior node k (n x 3n, nodes k-1..k+1), the last node with
+    the kernel unknowns ((n+d) x (2n+d); all of B when K = 1).  Product, band
+    and norm are all read off them: factor and gate see B to the last bit.
+    """
+
+    rows: tuple[sp.csr_matrix, sp.csr_matrix, sp.csr_matrix]
+
+    @cached_property
+    def norm1(self) -> float:
+        """||B||_1, the largest absolute row sum (B is symmetric)."""
+        K = self.grid.K
+        used = self.rows if K > 2 else self.rows[::2] if K == 2 else self.rows[2:]
+        return max(float(np.asarray(abs(M).sum(axis=1)).max(initial=0.0)) for M in used)
+
+    def __matmul__(self, x: np.ndarray) -> np.ndarray:
+        """B x for x (dim,) or (dim, k), summed in the order of a CSR row of B."""
+        x = np.asarray(x, dtype=float)
+        n, K = self.n, self.grid.K
+        xs = x.reshape(self.dim, -1)
+        c = xs.shape[1]
+        first, interior, last = self.rows
+        y = np.empty((self.dim, c))
+        y[n * (K - 1) :] = last @ xs[n * max(K - 2, 0) :]
+        if K > 1:
+            y[:n] = first @ xs[: 2 * n]
+        row, col = xs.strides
+        step = max(1, PRODUCT_CHUNK // (n * c))
+        for k in range(1, K - 1, step):  # windows of nodes k-1..k+1, side by side
+            m = min(step, K - 1 - k)
+            window = as_strided(xs[n * (k - 1) :], (3 * n, m, c), (row, n * row, col))
+            Y = (interior @ window.reshape(3 * n, m * c)).reshape(n, m, c)
+            y[n * k : n * (k + m)].reshape(m, n, c)[...] = Y.transpose(1, 0, 2)
+        return y.reshape(x.shape)
+
+    def _tiles(self, perm: np.ndarray | None) -> list[np.ndarray]:
+        """Band tiles (rows, w+1) of the block rows in state order perm: entry
+        B[r, r + o] of a row at column o, w the largest offset of all three."""
+        n, d, K = self.n, self.V.d, self.grid.K
+        p = np.arange(n) if perm is None else perm
+
+        def at(nodes, extra):  # `nodes` node blocks in state order p, then `extra` unknowns
+            return np.append(n * np.arange(nodes)[:, None] + p, nodes * n + np.arange(extra))
+
+        # rows, columns and the column of row 0's diagonal, per block row
+        specs = [(at(1, 0), at(2, 0), 0), (at(1, 0), at(3, 0), n)]
+        specs.append((at(1, d), at(min(K, 2), d), n * (K > 1)))
+        blocks = [M[r][:, c].tocoo() for M, (r, c, _) in zip(self.rows, specs)]
+        offsets = [M.col - diag - M.row for M, (*_, diag) in zip(blocks, specs)]
+        w = max(int(o.max(initial=0)) for o in offsets)
+        tiles = [np.zeros((M.shape[0], w + 1)) for M in blocks]
+        for tile, M, o in zip(tiles, blocks, offsets):
+            tile[M.row[o >= 0], o[o >= 0]] = M.data[o >= 0]
+        return tiles
+
+    def ordering(self) -> np.ndarray | None:
+        """Reverse Cuthill-McKee order of the state at every node, if it narrows the band."""
+        n = self.n
+        blocks = (abs(M[:n, j : j + n]) for M in self.rows for j in range(0, M.shape[1] - n + 1, n))
+        p = reverse_cuthill_mckee(sp.csr_matrix(sum(blocks)), symmetric_mode=True).astype(np.intp)
+        return p if self._tiles(p)[0].shape[1] < self._tiles(None)[0].shape[1] else None
+
+    def band(self, perm: np.ndarray | None = None) -> np.ndarray:
+        """Lower LAPACK band (w+1, dim) of B, Fortran-ordered, state order perm at every node.
+
+        Band column r holds B[r + o, r] = B[r, r + o] in row o.  In Fortran
+        order the columns are C-ordered rows of w+1, so the columns of a node
+        are one tile cut from its block row, and the interior tile repeats.
+        """
+        n, K = self.n, self.grid.K
+        first, interior, last = self._tiles(perm)
+        ab = np.zeros((first.shape[1], self.dim), order="F")
+        columns = ab.T  # (dim, w+1), C-ordered
+        columns[n : n * (K - 1)].reshape(-1, *interior.shape)[...] = interior
+        columns[n * (K - 1) :] = last
+        if K > 1:
+            columns[:n] = first
+        return ab
 
 
 def vectorize_samples(values: np.ndarray) -> np.ndarray:
@@ -89,108 +157,40 @@ def assemble_stiffness(
     grid: TimeGrid,
     V: KernelBasis,
     grams: GramTriplet | None = None,
-) -> StiffnessMatrix:
-    """Assemble the stiffness matrix from Kronecker blocks at one parameter."""
+) -> SpaceTimeOperator:
+    """The block rows of the stiffness at one parameter."""
     grams = build_grams(grid) if grams is None else grams
-    E = sp.csr_matrix(sys.E)
-    A = sys.A_at(mu)
-    Vd = V.V
-    d = V.d
-
-    EEt = (E @ E.T).tocsr()
+    E, A = sp.csr_matrix(sys.E), sys.A_at(mu)
     EAt = (E @ A.T).tocsr()
-    AEt = EAt.T.tocsr()
-    AAt = (A @ A.T).tocsr()
-
-    K11, K12, K21, K22 = grams.blocks("Kt")
-    L11, L12, L21, L22 = grams.blocks("Lt")
-    O11, O12, O21, O22 = grams.blocks("Ot")
-
-    B11 = (
-        sp.kron(K11, EEt) + sp.kron(O11, EAt) + sp.kron(O11.T, AEt) + sp.kron(L11, AAt)
-    ).tocsr()
-
-    if d > 0:
-        AtV = A.T @ Vd  # dense n x d
-        EAtV = E @ AtV
-        AAtV = A @ AtV
-        B12 = (sp.kron(O12, sp.csr_matrix(EAtV)) + sp.kron(L12, sp.csr_matrix(AAtV))).tocsr()
-        B21 = (sp.kron(O12.T, sp.csr_matrix(EAtV.T)) + sp.kron(L21, sp.csr_matrix(AAtV.T))).tocsr()
-        B22 = sp.csr_matrix(L22[0, 0] * (Vd.T @ AAtV))
-    else:
-        n = sys.n
-        B12 = sp.csr_matrix((n * grid.K, 0))
-        B21 = sp.csr_matrix((0, n * grid.K))
-        B22 = sp.csr_matrix((0, 0))
-
-    out = StiffnessMatrix(B11=B11, B12=B12, B21=B21, B22=B22, grid=grid, n=sys.n, d=d)
-    _check_symmetry(out)
-    return out
+    spatial = ((E @ E.T).tocsr(), EAt, EAt.T.tocsr(), (A @ A.T).tocsr())
+    temporal = (grams.Kt, grams.Ot, grams.Ot.T, grams.Lt)
+    K, n, SV = grid.K, sys.n, [S @ V.V for S in spatial]
+    block = lambda k, l: sum(T[k, l] * S for T, S in zip(temporal, spatial)).tocsr()
+    first, diagonal = block(0, 0), block(K - 1, K - 1)
+    lower = block(1, 0) if K > 1 else sp.csr_matrix((n, n))
+    coupling = sp.csr_matrix(sum(T[K - 1, K] * sv for T, sv in zip(temporal, SV)).reshape(n, V.d))
+    kernel = sum(T[K, K] * np.einsum("id,ie->de", V.V, sv) for T, sv in zip(temporal, SV))
+    # the last node with the kernel unknowns: a symmetric (n+d) x (n+d) block
+    kernel_rows = sp.hstack([coupling.T, sp.csr_matrix(kernel)])
+    square = sp.vstack([sp.hstack([diagonal, coupling]), kernel_rows]).tocsr()
+    for name, M in (("first diagonal", first), ("last diagonal", square)):
+        _check_symmetry(name, M)
+    below = sp.vstack([lower, sp.csr_matrix((V.d, n))])
+    last = sp.hstack([below, square]) if K > 1 else square
+    rows = (sp.hstack([first, lower.T]), sp.hstack([lower, diagonal, lower.T]), last)
+    return SpaceTimeOperator(grid=grid, n=n, V=V, grams=grams, rows=tuple(M.tocsr() for M in rows))
 
 
-def _check_symmetry(B: StiffnessMatrix) -> None:
-    M = B.matrix
-    asym = abs(M - M.T).max() if M.nnz else 0.0
-    scale = abs(M).max() if M.nnz else 1.0
-    if scale > 0 and asym > 1e-12 * scale:
+def _check_symmetry(name: str, M: sp.csr_matrix) -> None:
+    asym, scale = (abs(M - M.T).max(), abs(M).max()) if M.nnz else (0.0, 1.0)
+    if asym > 1e-12 * scale:
         raise SingularAssembly(
-            f"assembled matrix is not symmetric (relative asymmetry {asym/scale:.2e})"
+            f"{name} block of the stiffness is not symmetric (relative asymmetry {asym/scale:.2e})"
         )
 
 
 def assemble_rhs_operator(
     grid: TimeGrid, n: int, V: KernelBasis, grams: GramTriplet | None = None
 ) -> RhsOperator:
-    """Build the operator mapping nodal samples of f to the load vector.
-
-    Row j of F^T holds <sigma_k e_i, psi_j> for every sample slot (k, i),
-    so F^T @ samples integrates the hat interpolant of f against every
-    test function.
-    """
-    Lt = (build_grams(grid) if grams is None else grams).Lt
-    K = grid.K
-    Id = sp.identity(n, format="csr")
-    top = sp.kron(Lt[:, :K].T, Id)  # (nK) x n(K+1)
-    if V.d > 0:
-        bottom = sp.kron(Lt[:, K:].T, sp.csr_matrix(V.V.T))
-        Ft = sp.vstack([top, bottom], format="csr")
-    else:
-        Ft = top.tocsr()
-    return RhsOperator(F=Ft.T.tocsr(), grid=grid, n=n, V=V)
-
-
-def assemble_control_rhs(
-    sys: DaeSystem,
-    rhs_op: RhsOperator,
-    control_samples: np.ndarray | None = None,
-    control_grid: TimeGrid | None = None,
-    z_terms: np.ndarray | None = None,
-) -> np.ndarray:
-    """Load vector for a fully linear system f = B u + sum_q z_q.
-
-    ``control_samples`` has shape (m, K_u+1) (or (K_u+1,) for m = 1) on
-    ``control_grid``; ``z_terms`` is a list/array of nodal sample blocks
-    (n, K+1) on the state grid.
-    """
-    grid = rhs_op.grid
-    total = np.zeros(rhs_op.F.shape[1])
-    if control_samples is not None:
-        if sys.control_matrix is None:
-            raise ValueError("system has no control matrix")
-        B = np.asarray(sys.control_matrix, dtype=float)
-        u = np.atleast_2d(np.asarray(control_samples, dtype=float))
-        if u.shape[0] != B.shape[1]:
-            raise ValueError(
-                f"control samples have {u.shape[0]} rows, control matrix "
-                f"expects {B.shape[1]}"
-            )
-        if control_grid is None or control_grid.K == grid.K:
-            u_fine = u
-        else:
-            u_fine = prolong_control(u, control_grid, grid)
-        nodal = B @ u_fine  # (n, K+1)
-        total += rhs_op.apply(vectorize_samples(nodal))
-    if z_terms is not None:
-        for z in z_terms:
-            total += rhs_op.apply(vectorize_samples(z))
-    return total
+    """The load map of one grid: nodal samples of f to the load vector."""
+    return RhsOperator(grid=grid, n=n, V=V, grams=build_grams(grid) if grams is None else grams)

@@ -7,6 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
+from .assembly import vectorize_samples
 from .errors import UwdaeError
 from .detailed import (
     DetailedOperator,
@@ -22,7 +23,7 @@ from .system_model import (
     sample_rhs_terms,
     theta_constant,
 )
-from .temporal import TimeGrid
+from .temporal import TimeGrid, prolong_control
 
 __all__ = [
     "RlcParams",
@@ -347,31 +348,27 @@ def timereduction_study(
     prolonged back and solved; the error is measured against the solve
     with the fully resolved control.  Returns rows (Ku, max_rel_err).
     """
-    from .assembly import assemble_control_rhs
     from .detailed import l2_difference, l2_norm
 
+    if sys.control_matrix is None:
+        raise ValueError("system has no control matrix")
     grid = TimeGrid(T=sys.T, K=int(K))
     op = DetailedOperator(sys, grid)
     controls = smooth_random_controls(grid, n_controls, seed)
-    z_samples = sample_rhs_terms(sys.rhs, grid.nodes)
-    full_sols = []
-    for u in controls:
-        load = assemble_control_rhs(op.sys, op.rhs_op, control_samples=u, z_terms=z_samples)
-        full_sols.append(op.solve_load(load))
+    z = sum(sample_rhs_terms(sys.rhs, grid.nodes))
+    B = np.asarray(sys.control_matrix, dtype=float)
+
+    def solve(u_fine):
+        return op.solve_load(op.stiffness.load(vectorize_samples(B @ u_fine[None, :] + z)))
+
+    full_sols = [solve(u) for u in controls]
     rows = []
     for Ku in Ku_list:
         coarse = TimeGrid(T=sys.T, K=int(Ku))
         max_err = 0.0
         for u, ref_sol in zip(controls, full_sols):
             u_coarse = _restrict_to(coarse, grid, u)
-            load = assemble_control_rhs(
-                op.sys,
-                op.rhs_op,
-                control_samples=u_coarse,
-                control_grid=coarse,
-                z_terms=z_samples,
-            )
-            sol = op.solve_load(load)
+            sol = solve(prolong_control(u_coarse, coarse, grid))
             denom = l2_norm(ref_sol)
             err = l2_difference(sol, ref_sol) / denom if denom > 0 else 0.0
             max_err = max(max_err, err)

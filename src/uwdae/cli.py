@@ -121,9 +121,7 @@ def cmd_solve(args) -> int:
     t0 = time.perf_counter()
     op = DetailedOperator(sys, grid, mu=mu)
     sol = op.solve(mu)
-    residual = float(
-        np.linalg.norm(op.stiffness.matrix @ sol.coeffs - op.rhs_vector(mu))
-    )
+    residual = float(np.linalg.norm(op.stiffness @ sol.coeffs - op.rhs_vector(mu)))
     delta = estimator_detailed(sol, refinement=args.refine)
     wall_ms = 1000.0 * (time.perf_counter() - t0)
 
@@ -136,7 +134,9 @@ def cmd_solve(args) -> int:
         _write_trajectory(out / "outputs.csv", mids, sys.output_matrix @ states, "y")
     _summary(out / "summary.json", dims=op.dim, residual=residual, estimator=delta, wall_ms=wall_ms)
     if args.export_system:
-        scipy.io.mmwrite(str(out / "BN.mtx"), sp.coo_matrix(op.stiffness.matrix))
+        band = op.stiffness.band()  # mirrored: the lower triangle plus its transpose
+        lower = sp.dia_matrix((band, -np.arange(band.shape[0])), shape=(op.dim, op.dim))
+        scipy.io.mmwrite(str(out / "BN.mtx"), lower + sp.tril(lower, -1).T)
         scipy.io.mmwrite(str(out / "fN.mtx"), op.rhs_vector(mu)[:, None])
     norm = l2_norm(sol)
     print(f"dims={op.dim} residual={residual:.3e} estimator={delta:.3e} " f"l2_norm={norm:.6e}")

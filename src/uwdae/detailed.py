@@ -13,24 +13,15 @@ from functools import cached_property
 
 import numpy as np
 import scipy.linalg as la
-import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from numpy.lib.stride_tricks import sliding_window_view
 from scipy.linalg.blas import dtrmm, dtrsm
-from scipy.sparse.csgraph import reverse_cuthill_mckee
 
 from .errors import FactorizationFailure, GridMismatch, OutOfDomain, StepSingular
-from .assembly import (
-    RhsOperator,
-    StiffnessMatrix,
-    assemble_rhs_operator,
-    assemble_stiffness,
-    vectorize_samples,
-)
+from .assembly import SpaceTimeOperator, assemble_stiffness, vectorize_samples
 from .system_model import DaeSystem, KernelBasis, kernel_basis, sample_rhs
 from .temporal import (
     TimeGrid,
-    build_grams,
     hat_derivative_values,
     hat_values,
     prolongation_matrix,
@@ -82,53 +73,40 @@ def gauss_points(order: int):
 
 
 class BandedCholesky:
-    """LAPACK banded Cholesky (pbtrf) of a sparse SPD matrix.
+    """LAPACK banded Cholesky (pbtrf) of SPD M from its lower band[o, j] = M[j+o, j].
 
-    The half-bandwidth is read from the sparsity pattern; it is at most 2n
-    in the time-node-major layout.  Factorizing is the SPD certificate.
-    An optional symmetric permutation ``perm`` (unknown ``perm[i]`` of M
-    becomes unknown i of the factored matrix) narrows the band; ``solve``
-    permutes right-hand sides and solutions, so callers see M itself.
+    A Fortran-ordered band is factored in place, so ``norm1`` = ||M||_1 comes
+    from the caller.  Factorizing is the SPD certificate.  With a state order
+    ``perm`` (length n), unknown perm[i] of each of the first ``nodes`` blocks
+    of n is unknown i of the band; ``solve`` permutes, so callers see M.
     """
 
-    def __init__(self, M: sp.spmatrix, perm: np.ndarray | None = None):
-        M = sp.csr_matrix(M)
-        if not M.has_canonical_format:  # summed on a copy: M may share the caller's arrays
-            M = M.copy()
-            M.sum_duplicates()
-        entries = M.tocoo()
-        row, col = entries.row, entries.col
-        if perm is not None:
-            position = np.empty_like(perm)
-            position[perm] = np.arange(perm.size)
-            row, col = position[row], position[col]
-        lower = row >= col
-        col, offset = col[lower], row[lower] - col[lower]
-        self.perm = perm
-        self.bandwidth = int(offset.max(initial=0))
-        # pbtrf factors the Fortran-ordered band in place: it is held once
-        ab = np.zeros((self.bandwidth + 1, M.shape[0]), order="F")
-        ab[offset, col] = entries.data[lower]
+    def __init__(self, band: np.ndarray, norm1: float, perm=None, nodes: int = 0):
+        self.norm1, self.perm, self.nodes = norm1, perm, nodes  # also the max norm: M is symmetric
+        self.bandwidth = band.shape[0] - 1
         try:
-            self._cb = la.cholesky_banded(ab, overwrite_ab=True, lower=True, check_finite=False)
+            self._cb = la.cholesky_banded(band, overwrite_ab=True, lower=True, check_finite=False)
         except np.linalg.LinAlgError as exc:
             raise FactorizationFailure(f"Cholesky factorization failed: {exc}") from exc
-        self.norm1 = float(spla.norm(M, 1))  # also the max norm: M is symmetric
+
+    def _permute(self, b: np.ndarray, order: np.ndarray) -> np.ndarray:
+        """b with the unknowns of each of the first ``nodes`` blocks taken in ``order``."""
+        nodal, shape = self.nodes * order.size, (self.nodes, order.size, -1)
+        out = np.empty(b.shape)
+        out[nodal:] = b[nodal:]
+        np.take(b[:nodal].reshape(shape), order, axis=1, out=out[:nodal].reshape(shape))
+        return out
 
     def solve(self, b: np.ndarray) -> np.ndarray:
         """Solve for one right-hand side (dim,) or several (dim, k)."""
         b = np.asarray(b, dtype=float)
         if self.perm is not None:
-            b = b[self.perm]
+            b = self._permute(b, self.perm)
         if uses_blocked_sweep(1 if b.ndim == 1 else b.shape[1], self.bandwidth):
             y = self.solve_blocked(b.reshape(b.shape[0], -1)).reshape(b.shape)
         else:
             y = la.cho_solve_banded((self._cb, True), b, check_finite=False)
-        if self.perm is None:
-            return y
-        x = np.empty_like(y)
-        x[self.perm] = y
-        return x
+        return y if self.perm is None else self._permute(y, np.argsort(self.perm))
 
     def solve_blocked(self, b: np.ndarray) -> np.ndarray:
         """Solve L L^T y = b for b (dim, k), in the factor's own ordering.
@@ -193,8 +171,8 @@ class BandedCholesky:
 class DetailedOperator:
     """Caches the assembled system for one (system, parameter-of-A, grid).
 
-    For fully linear systems the stiffness matrix is parameter independent
-    and one operator serves every parameter value.
+    For fully linear systems the stiffness is parameter independent and
+    one operator serves every parameter value.
     """
 
     def __init__(
@@ -208,37 +186,13 @@ class DetailedOperator:
         self.grid = grid
         self.mu_A = np.zeros(1) if mu is None else np.atleast_1d(np.asarray(mu, float))
         self.V = V if V is not None else kernel_basis(sys.E)
-        grams = build_grams(grid)
-        self.stiffness: StiffnessMatrix = assemble_stiffness(
-            sys, self.mu_A, grid, self.V, grams
-        )
-        self.rhs_op: RhsOperator = assemble_rhs_operator(grid, sys.n, self.V, grams)
+        self.stiffness: SpaceTimeOperator = assemble_stiffness(sys, self.mu_A, grid, self.V)
 
     @cached_property
     def factor(self) -> BandedCholesky:
-        return BandedCholesky(self.stiffness.matrix, perm=self._band_ordering())
-
-    def _band_ordering(self) -> np.ndarray | None:
-        """Reverse Cuthill-McKee order of the state, applied at every time node.
-
-        The stiffness couples state components like the pattern of
-        E E^T + A A^T + E A^T + A E^T, that is of S S^T with S = |E| + |A|.
-        The order p acts as I_K (x) p on the nodal unknowns and leaves the
-        trailing d kernel unknowns in place.  None unless p strictly narrows
-        the band of that pattern.
-        """
-        S = abs(sp.csr_matrix(self.sys.E)) + abs(self.sys.A_at(self.mu_A))
-        coupling = (S @ S.T).tocsr()
-        p = reverse_cuthill_mckee(coupling, symmetric_mode=True)
-        pattern = coupling.tocoo()
-        position = np.empty_like(p)
-        position[p] = np.arange(p.size)
-        band = lambda pos: int(np.abs(pos[pattern.row] - pos[pattern.col]).max(initial=0))
-        if band(position) >= band(np.arange(p.size)):
-            return None
-        n, K = self.sys.n, self.grid.K
-        nodal = (n * np.arange(K)[:, None] + p[None, :]).ravel()
-        return np.concatenate([nodal, np.arange(n * K, self.dim)])
+        B = self.stiffness
+        perm = B.ordering()
+        return BandedCholesky(B.band(perm), B.norm1, perm=perm, nodes=self.grid.K)
 
     @property
     def dim(self) -> int:
@@ -246,7 +200,7 @@ class DetailedOperator:
 
     def rhs_vector(self, mu) -> np.ndarray:
         samples = sample_rhs(self.sys.rhs, mu, self.grid.nodes)
-        return self.rhs_op.apply(vectorize_samples(samples))
+        return self.stiffness.load(vectorize_samples(samples))
 
     def _parameter(self, mu) -> np.ndarray:
         """The parameter of a solve: any for a parameter-independent A, else mu_A."""
@@ -263,7 +217,7 @@ class DetailedOperator:
     def solve_load(self, load: np.ndarray, mu=None) -> "DetailedSolution":
         mu = self._parameter(mu)
         coeffs = self.factor.solve(load)
-        self.factor.check(self.stiffness.matrix @ coeffs - load, coeffs, load)
+        self.factor.check(self.stiffness @ coeffs - load, coeffs, load)
         return DetailedSolution(
             coeffs=coeffs, grid=self.grid, V=self.V, mu=mu, sys=self.sys, op=self
         )
@@ -334,7 +288,7 @@ def evaluate_state(sol: DetailedSolution, times) -> np.ndarray:
 def l2_norm(sol: DetailedSolution) -> float:
     """Exact L2 norm via the Gram identity of the stiffness matrix."""
     c = sol.coeffs
-    return float(np.sqrt(max(c @ (sol.op.stiffness.matrix @ c), 0.0)))
+    return float(np.sqrt(max(c @ (sol.op.stiffness @ c), 0.0)))
 
 
 def l2_error(sol: DetailedSolution, reference, quad_order: int = 4) -> float:
@@ -360,7 +314,7 @@ def l2_difference(fine: DetailedSolution, coarse: DetailedSolution) -> float:
     if fine.sys is not coarse.sys or not np.array_equal(fine.mu, coarse.mu):
         raise ValueError("l2_difference needs two solutions of one system at one parameter")
     w = fine.coeffs - coarse.prolonged_coeffs(fine.grid)
-    return float(np.sqrt(max(w @ (fine.op.stiffness.matrix @ w), 0.0)))
+    return float(np.sqrt(max(w @ (fine.op.stiffness @ w), 0.0)))
 
 
 def estimator_detailed(
@@ -379,14 +333,15 @@ def estimator_detailed(
 
     Every coarse trial function is the image of its test function, which
     the fine test space contains, so the residual is f_f - B_f J c with J
-    the test-space prolongation.
+    the test-space prolongation; its dual norm is the fine stiffness norm
+    of c_f - J c for the fine solution c_f.  That is what is computed: the
+    residual is a small difference of vectors of size ||B_f|| ||c||, whose
+    round-off B_f^-1 amplifies by cond(B_f) ~ K^2.
     """
     if refinement < 1:
         raise ValueError("refinement must be >= 1")
     fine = DetailedOperator(sol.sys, sol.grid.refine(refinement), mu=sol.mu, V=sol.V)
-    rho = fine.rhs_vector(sol.mu) - fine.stiffness.matrix @ sol.prolonged_coeffs(fine.grid)
-    w = fine.solve_load(rho).coeffs
-    raw = float(np.sqrt(max(rho @ w, 0.0)))
+    raw = l2_difference(fine.solve(sol.mu), sol)
     if corrected and refinement > 1:
         return raw / np.sqrt(1.0 - 1.0 / refinement**2)
     return raw

@@ -13,9 +13,9 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
+from scipy.linalg.blas import dgemm
 
 from .errors import DegenerateTraining
-from .assembly import vectorize_samples
 from .detailed import DetailedOperator, DetailedSolution
 from .system_model import (
     ThetaExpression,
@@ -102,7 +102,7 @@ def control_rhs_family(
     sys, grid = op.sys, op.grid
     if not sys.parameter_independent_A:
         raise ValueError("reduced pipeline requires parameter-independent A")
-    cols = []
+    terms = []  # nodal samples (K+1, n, q) of the affine terms
     thetas: list[ThetaExpression] = []
     if sys.control_matrix is None:
         control_grid = None
@@ -111,18 +111,16 @@ def control_rhs_family(
         B = np.asarray(sys.control_matrix, dtype=float)
         Ku = control_grid.K
         P = prolongation_matrix(control_grid, grid).toarray()  # (K+1, Ku+1)
-        for j in range(B.shape[1]):
-            for k in range(Ku + 1):
-                nodal = np.outer(B[:, j], P[:, k])  # (n, K+1)
-                cols.append(op.rhs_op.apply(vectorize_samples(nodal)))
-                thetas.append(theta_component(j * (Ku + 1) + k))
+        # term j*(Ku+1) + k: control j at control node k, B[:, j] P[:, k]
+        terms.append(np.einsum("ij,lk->lijk", B, P).reshape(grid.K + 1, sys.n, -1))
+        thetas.extend(theta_component(q) for q in range(B.shape[1] * (Ku + 1)))
     P1 = len(thetas)
-    for theta, samples in zip(sys.rhs.thetas, sample_rhs_terms(sys.rhs, grid.nodes)):
-        cols.append(op.rhs_op.apply(vectorize_samples(samples)))
-        thetas.append(theta_shift(theta, P1))
+    terms.append(np.stack([v.T for v in sample_rhs_terms(sys.rhs, grid.nodes)], axis=-1))
+    thetas.extend(theta_shift(theta, P1) for theta in sys.rhs.thetas)
     p2 = max(theta.min_parameter_dim() for theta in sys.rhs.thetas)
+    samples = np.concatenate(terms, axis=-1)
     return AffineRhsFamily(
-        Ftilde=np.column_stack(cols),
+        Ftilde=op.stiffness.load(samples.reshape(-1, len(thetas))),
         thetas=tuple(thetas),
         parameter_dim=max(P1 + p2, 1),
         control_grid=control_grid,
@@ -198,6 +196,16 @@ class ReducedModel:
         )
 
 
+def _mm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b on scipy's BLAS, which factors the band: numpy's own OpenBLAS threads
+    spin ~0.1 s after a large product, and a factorization started then ran twice
+    as long on two cores.  C-ordered operands go in transposed, uncopied."""
+    if a.ndim < 2 or b.ndim < 2:
+        return a @ b
+    ta, tb = a.flags.c_contiguous, b.flags.c_contiguous
+    return dgemm(1.0, a.T if ta else a, b.T if tb else b, trans_a=ta, trans_b=tb)
+
+
 def _residual_norms(Theta: np.ndarray, W: np.ndarray, X: np.ndarray, G: np.ndarray):
     """Delta_N: the G-norm of theta - W x, x the reduced solution.
 
@@ -206,8 +214,8 @@ def _residual_norms(Theta: np.ndarray, W: np.ndarray, X: np.ndarray, G: np.ndarr
     the quadratic form stays nonnegative and cancels cleanly when a load
     lies in the reduced span.
     """
-    Y = Theta - X @ W.T
-    return np.sqrt(np.maximum(np.einsum("...j,...j->...", Y @ G, Y), 0.0))
+    Y = Theta - _mm(X, W.T)
+    return np.sqrt(np.maximum(np.einsum("...j,...j->...", _mm(Y, G), Y), 0.0))
 
 
 def greedy(
@@ -228,16 +236,16 @@ def greedy(
         raise ValueError("n_max must be >= 1")
     Ftilde, factor = family.Ftilde, op.factor
     R = factor.solve(Ftilde)
-    BR = op.stiffness.matrix @ R
+    BR = op.stiffness @ R
     factor.check(BR - Ftilde, R, Ftilde)
     # Gram of the Riesz columns in the test-space topology; all offline
     # estimator data derives from this one matrix so the error-residual
     # identity cancels cleanly at snapshot parameters
-    G = R.T @ BR
+    G = _mm(R.T, BR)
     G = 0.5 * (G + G.T)
     Theta = np.array([family.theta_vector(mu) for mu in train.parameters])
 
-    load_norm2 = np.einsum("ij,jk,ik->i", Theta, Ftilde.T @ Ftilde, Theta)
+    load_norm2 = np.einsum("ij,jk,ik->i", Theta, _mm(Ftilde.T, Ftilde), Theta)
     if not np.any(load_norm2 > 0):
         raise DegenerateTraining("all training load vectors vanish")
     first = int(np.argmax(load_norm2))
@@ -266,11 +274,9 @@ def greedy(
     history: list[tuple[int, int, float]] = []
 
     while True:
-        deltas = _residual_norms(Theta, W, Theta @ (G @ W), G)
+        deltas = _residual_norms(Theta, W, _mm(Theta, _mm(G, W)), G)
         max_err = float(deltas.max())
         N = W.shape[1]
-        if N == 1 and max_err == 0.0:
-            raise DegenerateTraining("all training estimators vanish at N = 1")
         if N >= n_max or max_err <= eps:
             history.append((N, -1, max_err))
             break
@@ -291,8 +297,8 @@ def greedy(
             break
 
     model = ReducedModel(
-        basis=ReducedBasis(Eta=R @ W, S_N=train.parameters[chosen], coords=W),
-        rhs_offline=G @ W,
+        basis=ReducedBasis(Eta=_mm(R, W), S_N=train.parameters[chosen], coords=W),
+        rhs_offline=_mm(G, W),
         riesz_gram=G,
         thetas=family.thetas,
         parameter_dim=family.parameter_dim,

@@ -12,6 +12,7 @@ from dataclasses import dataclass, field, replace
 from typing import Callable, Sequence
 
 import numpy as np
+import scipy.linalg as la
 import scipy.sparse as sp
 
 from .errors import (
@@ -393,7 +394,7 @@ def kernel_basis(E: sp.spmatrix, tol: float = DEFAULT_RANK_TOL) -> KernelBasis:
         raise ValueError("tol must be positive")
     Et = (E.T).toarray() if sp.issparse(E) else np.asarray(E, dtype=float).T
     n = Et.shape[0]
-    _, s, Wt = np.linalg.svd(Et)
+    _, s, Wt = la.svd(Et)  # scipy's LAPACK: the library that factors the band
     smax = s[0] if s.size else 0.0
     rank = int(np.sum(s > tol * smax)) if smax > 0 else 0
     d = n - rank

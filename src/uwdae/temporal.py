@@ -7,8 +7,7 @@ products of the piecewise-linear nodal basis and of its derivatives:
 * ``Lt[k,l] = <sigma_k,  sigma_l>``    (mass)
 * ``Ot[k,l] = <sigma_k', sigma_l>``    (transport)
 
-All entries are closed-form for uniform grids.  Each matrix carries the
-2x2 block partition splitting off the last node.
+All entries are closed-form for uniform grids.
 """
 
 from __future__ import annotations
@@ -61,11 +60,6 @@ class GramTriplet:
     Kt: sp.csr_matrix
     Lt: sp.csr_matrix
     Ot: sp.csr_matrix
-
-    def blocks(self, name: str):
-        """Return (M11, M12, M21, M22) splitting off the last node."""
-        M = getattr(self, name)
-        return M[:-1, :-1], M[:-1, -1:], M[-1:, :-1], M[-1:, -1:]
 
 
 def build_grams(grid: TimeGrid) -> GramTriplet:

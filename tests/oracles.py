@@ -154,3 +154,58 @@ def random_sparse_system(rng, n: int, K: int, rank: int | None = None):
         T=1.0,
     )
     return sys, TimeGrid(T=1.0, K=K)
+
+
+def kron_stiffness(sys, mu, grid, V) -> sp.csr_matrix:
+    """The stiffness as one (nK+d) x (nK+d) CSR matrix from Kronecker sums.
+
+    The temporal Grams are split off at the last node: B11 couples the nodal
+    unknowns, B12/B21 the nodal and the kernel unknowns, B22 the kernel ones.
+    """
+    from uwdae import build_grams
+
+    g = build_grams(grid)
+    E = sp.csr_matrix(sys.E)
+    A = sys.A_at(mu)
+    EEt, EAt, AAt = E @ E.T, E @ A.T, A @ A.T
+    K11, O11, L11 = g.Kt[:-1, :-1], g.Ot[:-1, :-1], g.Lt[:-1, :-1]
+    B11 = sp.kron(K11, EEt) + sp.kron(O11, EAt) + sp.kron(O11.T, EAt.T) + sp.kron(L11, AAt)
+    if V.d == 0:
+        return B11.tocsr()
+    EAtV = sp.csr_matrix(E @ (A.T @ V.V))
+    AAtV = sp.csr_matrix(A @ (A.T @ V.V))
+    B12 = sp.kron(g.Ot[:-1, -1:], EAtV) + sp.kron(g.Lt[:-1, -1:], AAtV)
+    B22 = sp.csr_matrix(g.Lt[-1, -1] * (V.V.T @ (A @ (A.T @ V.V))))
+    return sp.bmat([[B11, B12], [B12.T, B22]], format="csr")
+
+
+def kron_load_matrix(grid, n: int, V) -> sp.csr_matrix:
+    """(nK+d) x n(K+1) matrix mapping time-node-major nodal samples to loads."""
+    from uwdae import build_grams
+
+    Lt = build_grams(grid).Lt
+    K = grid.K
+    top = sp.kron(Lt[:K], sp.identity(n))
+    return sp.vstack([top, sp.kron(Lt[K:], sp.csr_matrix(V.V.T))], format="csr")
+
+
+def lower_band(M) -> np.ndarray:
+    """LAPACK lower band storage (w+1, dim), Fortran-ordered, of a symmetric matrix."""
+    M = np.asarray(M.toarray() if sp.issparse(M) else M, dtype=float)
+    dim = M.shape[0]
+    rows, cols = np.nonzero(np.tril(M))
+    w = int((rows - cols).max(initial=0))
+    ab = np.zeros((w + 1, dim), order="F")
+    ab[rows - cols, cols] = M[rows, cols]
+    return ab
+
+
+def mirror_band(ab) -> np.ndarray:
+    """Dense symmetric matrix whose lower band storage is ab."""
+    w, dim = ab.shape[0] - 1, ab.shape[1]
+    M = np.zeros((dim, dim))
+    for o in range(w + 1):
+        idx = np.arange(dim - o)
+        M[idx + o, idx] = ab[o, : dim - o]
+        M[idx, idx + o] = ab[o, : dim - o]
+    return M

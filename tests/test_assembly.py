@@ -1,41 +1,25 @@
-"""Tests for the Kronecker stiffness and right-hand-side assembly."""
+"""Tests for the Kronecker space-time operator: product, band and load map."""
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
-from uwdae import TimeGrid, build_grams, kernel_basis
-from uwdae.assembly import (
-    assemble_control_rhs,
-    assemble_rhs_operator,
-    assemble_stiffness,
-    vectorize_samples,
-)
-from uwdae.bench import RlcParams, make_rlc
+from uwdae import AffineOperator, DaeSystem, TimeGrid, build_grams, kernel_basis
+from uwdae.assembly import assemble_rhs_operator, assemble_stiffness, vectorize_samples
+from uwdae.bench import RlcParams, StokesLikeParams, make_rlc, make_stokes_like
+from uwdae.detailed import DetailedOperator
+from uwdae.rbm import control_rhs_family
+from uwdae.system_model import theta_constant
+from uwdae.temporal import prolong_control
 
 import oracles
 from conftest import make_algebraic, make_scalar_ode
 
 
-def test_algebraic_stiffness_is_mass_matrix():
-    # E = 0, A = [1]: all Kronecker terms collapse onto the temporal mass
-    sys = make_algebraic()
-    grid = TimeGrid(T=1.0, K=2)
-    V = kernel_basis(sys.E)
-    B = assemble_stiffness(sys, None, grid, V)
-    Lt = build_grams(grid).Lt.toarray()
-    assert np.allclose(B.matrix.toarray(), Lt, atol=1e-15)
-    assert B.B11.shape == (2, 2) and B.B22.shape == (1, 1)
-    assert np.isclose(B.B22[0, 0], grid.dt / 3.0)
-
-
-def test_integrator_stiffness_is_derivative_gram():
+def make_integrator() -> DaeSystem:
+    """x' = f: E = 1, A = 0, so d = 0 and B is the derivative Gram."""
     sys = make_scalar_ode()
-    # strip A to zero: pure integrator, d = 0
-    import scipy.sparse as sp
-    from uwdae import AffineOperator, DaeSystem
-    from uwdae.system_model import theta_constant
-
-    pure = DaeSystem(
+    return DaeSystem(
         n=1,
         E=sys.E,
         A=AffineOperator(terms=((theta_constant(1.0), sp.csr_matrix((1, 1))),)),
@@ -43,22 +27,55 @@ def test_integrator_stiffness_is_derivative_gram():
         x0=None,
         T=1.0,
     )
+
+
+SYSTEMS = {
+    "scalar": make_scalar_ode,
+    "algebraic": make_algebraic,
+    "integrator": make_integrator,
+    "rlc": lambda: make_rlc(RlcParams()),
+    "stokes": lambda: make_stokes_like(StokesLikeParams(m_g=4)),
+}
+
+
+def _dense(op):
+    """The stiffness applied to the identity."""
+    return op @ np.eye(op.dim)
+
+
+def _node_order(op, perm):
+    """Unknown order of a band built in state order perm."""
+    K, n = op.grid.K, op.n
+    nodal = (n * np.arange(K)[:, None] + perm[None, :]).ravel()
+    return np.concatenate([nodal, np.arange(n * K, op.dim)])
+
+
+def test_algebraic_stiffness_is_mass_matrix():
+    # E = 0, A = [1]: all Kronecker terms collapse onto the temporal mass
+    sys = make_algebraic()
+    grid = TimeGrid(T=1.0, K=2)
+    B = assemble_stiffness(sys, None, grid, kernel_basis(sys.E))
+    Lt = build_grams(grid).Lt.toarray()
+    assert B.dim == 3 and B.V.d == 1
+    assert np.allclose(_dense(B), Lt, atol=1e-15)
+    assert np.isclose(_dense(B)[2, 2], grid.dt / 3.0)
+
+
+def test_integrator_stiffness_is_derivative_gram():
     grid = TimeGrid(T=1.0, K=4)
-    V = kernel_basis(pure.E)
-    B = assemble_stiffness(pure, None, grid, V)
-    assert V.d == 0
+    B = assemble_stiffness(make_integrator(), None, grid, kernel_basis(make_integrator().E))
+    assert B.V.d == 0
     assert B.dim == 4
     Kt = build_grams(grid).Kt.toarray()
-    assert np.allclose(B.matrix.toarray(), Kt[:4, :4], atol=1e-13)
+    assert np.allclose(_dense(B), Kt[:4, :4], atol=1e-13)
 
 
 def test_rlc_dimension_and_spd():
     sys = make_rlc(RlcParams())
     grid = TimeGrid(T=sys.T, K=16)
-    V = kernel_basis(sys.E)
-    B = assemble_stiffness(sys, None, grid, V)
+    B = assemble_stiffness(sys, None, grid, kernel_basis(sys.E))
     assert B.dim == 4 * 16 + 2 == 66
-    M = B.matrix.toarray()
+    M = _dense(B)
     assert np.allclose(M, M.T, atol=1e-14 * np.abs(M).max())
     assert np.linalg.eigvalsh(M).min() > 0
 
@@ -67,21 +84,59 @@ def test_stiffness_matches_quadrature_gram():
     rng = np.random.default_rng(7)
     sys, grid = oracles.random_sparse_system(rng, n=3, K=4, rank=2)
     V = kernel_basis(sys.E)
-    B = assemble_stiffness(sys, None, grid, V).matrix.toarray()
+    B = assemble_stiffness(sys, None, grid, V)
     G = oracles.trial_gram(sys, None, grid, V)
-    assert np.abs(B - G).max() <= 1e-10 * np.abs(G).max()
+    for M in (_dense(B), oracles.mirror_band(B.band())):
+        assert np.abs(M - G).max() <= 1e-10 * np.abs(G).max()
 
 
 def test_block_consistency():
+    # the band, the product and the norm are read off the same blocks by
+    # separate code; they describe one matrix
     rng = np.random.default_rng(3)
     sys, grid = oracles.random_sparse_system(rng, n=4, K=3, rank=2)
+    B = assemble_stiffness(sys, None, grid, kernel_basis(sys.E))
+    M = _dense(B)
+    scale = np.abs(M).max()
+    assert np.abs(oracles.mirror_band(B.band()) - M).max() <= 1e-15 * scale
+    assert abs(B.norm1 - np.abs(M).sum(axis=0).max()) <= 1e-14 * scale
+
+
+@pytest.mark.parametrize("K", [1, 2, 7])
+@pytest.mark.parametrize("name", sorted(SYSTEMS))
+def test_band_and_product_match_kronecker_oracle(name, K):
+    sys = SYSTEMS[name]()
+    grid = TimeGrid(T=sys.T, K=K)
     V = kernel_basis(sys.E)
     B = assemble_stiffness(sys, None, grid, V)
-    import scipy.sparse as sp
+    M = oracles.kron_stiffness(sys, None, grid, V).toarray()
+    scale = np.abs(M).max()
+    assert B.V.d == V.d and (V.d > 0) == (name in ("algebraic", "rlc", "stokes"))
+    assert abs(B.norm1 - np.abs(M).sum(axis=0).max()) <= 1e-14 * scale
+    orders = [None, np.arange(sys.n)[::-1].copy()]
+    if B.ordering() is not None:
+        orders.append(B.ordering())
+    for perm in orders:
+        idx = np.arange(B.dim) if perm is None else _node_order(B, perm)
+        got = oracles.mirror_band(B.band(perm))
+        assert np.abs(got - M[np.ix_(idx, idx)]).max() <= 1e-14 * scale
+    rng = np.random.default_rng(K)
+    for columns in (1, 40):
+        x = rng.standard_normal((B.dim, columns))
+        want = M @ x
+        assert np.abs(B @ x - want).max() <= 1e-14 * np.abs(want).max()
+    assert np.abs(B @ x[:, 0] - want[:, 0]).max() <= 1e-14 * np.abs(want).max()
 
-    mono = sp.bmat([[B.B11, B.B12], [B.B21, B.B22]], format="csr")
-    assert (B.matrix != mono).nnz == 0
-    assert B.matrix is B.matrix  # built once, not on every access
+
+def test_asymmetric_diagonal_block_is_refused():
+    # the band stores the lower triangle only: an asymmetric diagonal or
+    # kernel block would be factored as a different matrix than the product
+    from uwdae import assembly
+    from uwdae.errors import SingularAssembly
+
+    assembly._check_symmetry("diagonal", sp.csr_matrix(np.eye(3)))
+    with pytest.raises(SingularAssembly, match="diagonal block .* not symmetric"):
+        assembly._check_symmetry("diagonal", sp.csr_matrix(np.eye(3) + np.triu(np.ones((3, 3)), 1)))
 
 
 def test_rhs_operator_scalar_algebraic_is_mass():
@@ -91,18 +146,17 @@ def test_rhs_operator_scalar_algebraic_is_mass():
     op = assemble_rhs_operator(grid, 1, V)
     Lt = build_grams(grid).Lt.toarray()
     # V = [+-1]; fold the sign into the comparison
-    sign = V.V[0, 0]
     expect = Lt.copy()
-    expect[:, 2] *= sign
-    assert np.allclose(op.F.toarray(), expect, atol=1e-15)
+    expect[2] *= V.V[0, 0]
+    assert np.allclose(op.load(np.eye(3)), expect, atol=1e-15)
     shared = assemble_rhs_operator(grid, 1, V, build_grams(grid))
-    assert (shared.F != op.F).nnz == 0
+    assert np.array_equal(shared.load(np.eye(3)), op.load(np.eye(3)))
 
 
 def test_rhs_zero_samples():
     V = kernel_basis(make_scalar_ode().E)
     op = assemble_rhs_operator(TimeGrid(T=1.0, K=5), 1, V)
-    assert np.array_equal(op.apply(np.zeros(6)), np.zeros(5))
+    assert np.array_equal(op.load(np.zeros(6)), np.zeros(5))
 
 
 def test_rhs_matches_quadrature():
@@ -112,7 +166,7 @@ def test_rhs_matches_quadrature():
     V = kernel_basis(sys.E)
     op = assemble_rhs_operator(grid, 3, V)
     samples = rng.standard_normal((3, 6))
-    got = op.apply(vectorize_samples(samples))
+    got = op.load(vectorize_samples(samples))
 
     # oracle: integrate the hat interpolant against every test function
     pts, wts = oracles.gauss_on_cells(grid.nodes, 2)
@@ -128,71 +182,77 @@ def test_rhs_matches_quadrature():
     assert np.abs(got - expect).max() < 1e-13
 
 
+@pytest.mark.parametrize("K", [1, 2, 7])
+def test_load_map_matches_kronecker_oracle_batched(K):
+    sys = make_rlc(RlcParams())
+    grid = TimeGrid(T=sys.T, K=K)
+    V = kernel_basis(sys.E)
+    op = assemble_stiffness(sys, None, grid, V)
+    F = oracles.kron_load_matrix(grid, sys.n, V)
+    samples = np.random.default_rng(K).standard_normal((sys.n * (K + 1), 5))
+    want = F @ samples
+    got = op.load(samples)
+    assert got.shape == (op.dim, 5)
+    assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+    assert np.allclose(op.load(samples[:, 3]), got[:, 3], rtol=0, atol=0)
+
+
 def test_vectorize_samples_layout():
     vals = np.array([[1.0, 2.0], [3.0, 4.0]])  # n=2, K+1=2
     assert np.array_equal(vectorize_samples(vals), [1.0, 3.0, 2.0, 4.0])
 
 
-# -- control rhs path --------------------------------------------------------
+# -- control loads -----------------------------------------------------------
 
 
 def _stokes_tiny():
-    from uwdae.bench import StokesLikeParams, make_stokes_like
-
     return make_stokes_like(StokesLikeParams(m_g=3))
 
 
-def test_control_rhs_zero():
-    sys = _stokes_tiny()
-    grid = TimeGrid(T=1.0, K=4)
-    from uwdae.detailed import DetailedOperator
+def _control_load(op, u):
+    """The load of the control samples u (K+1,) on the state grid, directly."""
+    return op.stiffness.load(vectorize_samples(op.sys.control_matrix @ u[None, :]))
 
-    op = DetailedOperator(sys, grid)
-    u = np.zeros(grid.K + 1)
-    f = assemble_control_rhs(sys, op.rhs_op, control_samples=u)
-    assert np.array_equal(f, np.zeros(op.dim))
+
+def test_control_rhs_zero():
+    op = DetailedOperator(_stokes_tiny(), TimeGrid(T=1.0, K=4))
+    family = control_rhs_family(op)
+    Ku = op.grid.K
+    assert np.array_equal(_control_load(op, np.zeros(Ku + 1)), np.zeros(op.dim))
+    assert np.array_equal(family.Ftilde[:, : Ku + 1] @ np.zeros(Ku + 1), np.zeros(op.dim))
 
 
 def test_control_rhs_superposition():
-    sys = _stokes_tiny()
-    grid = TimeGrid(T=1.0, K=4)
-    from uwdae.assembly import vectorize_samples
-    from uwdae.detailed import DetailedOperator
-
-    op = DetailedOperator(sys, grid)
-    u = np.ones(grid.K + 1)
-    f = assemble_control_rhs(sys, op.rhs_op, control_samples=u)
-    nodal = np.repeat(sys.control_matrix, grid.K + 1, axis=1)
-    expect = op.rhs_op.apply(vectorize_samples(nodal))
-    assert np.allclose(f, expect, atol=1e-14)
+    # a constant control is the sum of the per-node control columns
+    op = DetailedOperator(_stokes_tiny(), TimeGrid(T=1.0, K=4))
+    family = control_rhs_family(op)
+    Ku = op.grid.K
+    f = _control_load(op, np.ones(Ku + 1))
+    assert np.allclose(family.Ftilde[:, : Ku + 1].sum(axis=1), f, atol=1e-14)
+    rng = np.random.default_rng(2)
+    u, v = rng.standard_normal((2, Ku + 1))
+    assert np.allclose(
+        _control_load(op, 2.0 * u - v), 2.0 * _control_load(op, u) - _control_load(op, v), atol=1e-13
+    )
 
 
 def test_control_rhs_path_equivalence():
-    # coarse control assembled directly vs manual prolongation + plain path
+    # coarse control through the family's columns vs manual prolongation
     sys = _stokes_tiny()
     grid = TimeGrid(T=1.0, K=8)
     coarse = TimeGrid(T=1.0, K=4)
-    from uwdae.detailed import DetailedOperator
-    from uwdae.temporal import prolong_control
-
     op = DetailedOperator(sys, grid)
-    rng = np.random.default_rng(5)
-    u = rng.standard_normal(coarse.K + 1)
-    f1 = assemble_control_rhs(
-        sys, op.rhs_op, control_samples=u, control_grid=coarse
-    )
-    u_fine = prolong_control(u, coarse, grid)
-    f2 = assemble_control_rhs(sys, op.rhs_op, control_samples=u_fine)
+    family = control_rhs_family(op, control_grid=coarse)
+    u = np.random.default_rng(5).standard_normal(coarse.K + 1)
+    f1 = family.Ftilde[:, : coarse.K + 1] @ u
+    f2 = _control_load(op, prolong_control(u, coarse, grid))
     assert np.allclose(f1, f2, atol=1e-13)
 
 
 def test_control_rhs_dimension_check():
-    sys = _stokes_tiny()
-    grid = TimeGrid(T=1.0, K=4)
-    from uwdae.detailed import DetailedOperator
-
-    op = DetailedOperator(sys, grid)
-    with pytest.raises(ValueError):
-        assemble_control_rhs(
-            sys, op.rhs_op, control_samples=np.zeros((2, grid.K + 1))
-        )
+    op = DetailedOperator(_stokes_tiny(), TimeGrid(T=1.0, K=4))
+    n, K = op.sys.n, op.grid.K
+    with pytest.raises(ValueError, match="expected"):
+        op.stiffness.load(np.zeros(n * K))
+    with pytest.raises(ValueError, match="expected"):
+        op.stiffness.load(np.zeros((n * (K + 2), 3)))

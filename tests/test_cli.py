@@ -6,14 +6,15 @@ import json
 import numpy as np
 import pytest
 
-from uwdae import TimeGrid
-from uwdae.assembly import assemble_control_rhs
+from uwdae import TimeGrid, kernel_basis
+from uwdae.assembly import vectorize_samples
 from uwdae.bench import RlcParams, StokesLikeParams, make_rlc, make_stokes_like
 from uwdae.cli import EXIT_INPUT, EXIT_NUMERICAL, EXIT_OK, main
 from uwdae.detailed import DetailedOperator, l2_difference, l2_norm
 from uwdae.manifest import load_manifest, write_manifest
 from uwdae.system_model import sample_rhs_terms
 
+import oracles
 from conftest import make_algebraic
 
 
@@ -83,8 +84,12 @@ def test_solve_export_system(rlc_manifest, tmp_path):
     assert code == EXIT_OK
     import scipy.io
 
-    B = scipy.io.mmread(str(out / "BN.mtx"))
+    B = scipy.io.mmread(str(out / "BN.mtx")).toarray()
     assert B.shape == (66, 66)
+    sys, _ = load_manifest(rlc_manifest)
+    grid = TimeGrid(T=sys.T, K=16)
+    want = oracles.kron_stiffness(sys, np.zeros(1), grid, kernel_basis(sys.E)).toarray()
+    assert np.abs(B - want).max() <= 1e-14 * np.abs(want).max()
 
 
 def test_solve_indefinite_stiffness_exits_numerical(rlc_manifest, tmp_path, capsys, monkeypatch):
@@ -97,7 +102,7 @@ def test_solve_indefinite_stiffness_exits_numerical(rlc_manifest, tmp_path, caps
 
     def negated(*args, **kwargs):
         B = assemble(*args, **kwargs)
-        return dataclasses.replace(B, B11=-B.B11, B12=-B.B12, B21=-B.B21, B22=-B.B22)
+        return dataclasses.replace(B, rows=tuple(-M for M in B.rows))
 
     monkeypatch.setattr(uwdae.detailed, "assemble_stiffness", negated)
     code = main(["solve", "--manifest", str(rlc_manifest), "--out", str(tmp_path / "out")])
@@ -123,12 +128,9 @@ def test_solve_control_certificates(stokes_manifest, tmp_path):
     for K in (40, 80):
         grid = TimeGrid(T=sys.T, K=K)
         op = DetailedOperator(sys, grid)
-        loads[K] = assemble_control_rhs(
-            sys,
-            op.rhs_op,
-            control_samples=np.interp(grid.nodes, t_u, u),
-            z_terms=sample_rhs_terms(sys.rhs, grid.nodes),
-        )
+        nodal = sys.control_matrix @ np.interp(grid.nodes, t_u, u)[None, :]
+        nodal = nodal + sum(sample_rhs_terms(sys.rhs, grid.nodes))
+        loads[K] = op.stiffness.load(vectorize_samples(nodal))
         sols[K] = op.solve_load(loads[K])
     assert summary["residual"] <= 1e-9 * np.linalg.norm(loads[40])
     # raw refinement-2 estimator = L2 distance of the nested K and 2K solves

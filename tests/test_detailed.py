@@ -83,7 +83,7 @@ def test_galerkin_orthogonality():
     grid = TimeGrid(T=1.0, K=32)
     op = DetailedOperator(sys, grid)
     sol = op.solve(None)
-    res = op.stiffness.matrix @ sol.coeffs - op.rhs_vector(None)
+    res = op.stiffness @ sol.coeffs - op.rhs_vector(None)
     assert np.linalg.norm(res) <= 1e-10 * np.linalg.norm(op.rhs_vector(None))
 
 
@@ -93,8 +93,8 @@ def test_l2_norm_gram_identity():
     op = DetailedOperator(sys, grid)
     e1 = np.zeros(op.dim)
     e1[0] = 1.0
-    sol = op.solve_load(op.stiffness.matrix @ e1)
-    assert np.isclose(l2_norm(sol), np.sqrt(op.stiffness.matrix[0, 0]))
+    sol = op.solve_load(op.stiffness @ e1)
+    assert np.isclose(l2_norm(sol), np.sqrt((op.stiffness @ e1)[0]))
 
 
 def test_l2_norm_matches_quadrature():
@@ -122,9 +122,8 @@ def _random_banded_spd(rng, dim, w):
 def test_banded_cholesky_matches_dense_solve():
     rng = np.random.default_rng(11)
     M = _random_banded_spd(rng, 40, 3)
-    factor = BandedCholesky(M)
+    factor = BandedCholesky(oracles.lower_band(M), np.abs(M.toarray()).sum(axis=0).max())
     assert factor.bandwidth == 3
-    assert np.isclose(factor.norm1, np.abs(M.toarray()).sum(axis=0).max())
     b = rng.standard_normal((40, 5))
     expect = np.linalg.solve(M.toarray(), b)
     assert np.allclose(factor.solve(b), expect, rtol=1e-12, atol=0)
@@ -142,7 +141,7 @@ def test_banded_cholesky_matches_dense_solve():
 )
 def test_banded_cholesky_certifies_positive_definiteness(matrix):
     with pytest.raises(FactorizationFailure, match="not positive definite"):
-        BandedCholesky(sp.csr_matrix(matrix))
+        BandedCholesky(oracles.lower_band(matrix), 1.0)
 
 
 def test_stiffness_half_bandwidth_at_most_2n():
@@ -155,7 +154,7 @@ def test_stiffness_half_bandwidth_at_most_2n():
 
 def test_solve_gate_rejects_mismatched_factor():
     op = DetailedOperator(make_scalar_ode(), TimeGrid(T=1.0, K=16))
-    op.factor = BandedCholesky(2.0 * op.stiffness.matrix)
+    op.factor = BandedCholesky(2.0 * op.stiffness.band(), 2.0 * op.stiffness.norm1)
     with pytest.raises(FactorizationFailure, match="backward error"):
         op.solve(None)
 
@@ -165,10 +164,23 @@ def test_solve_gate_rejects_mismatched_factor_blocked(monkeypatch):
     monkeypatch.setattr(detailed, "BLOCKED_MIN_COLUMNS", 1)
     monkeypatch.setattr(detailed, "BLOCKED_MIN_BANDWIDTH", 1)
     op = DetailedOperator(make_scalar_ode(), TimeGrid(T=1.0, K=16))
-    op.factor = BandedCholesky(2.0 * op.stiffness.matrix)
+    op.factor = BandedCholesky(2.0 * op.stiffness.band(), 2.0 * op.stiffness.norm1)
     assert uses_blocked_sweep(1, op.factor.bandwidth)
     with pytest.raises(FactorizationFailure, match="backward error"):
         op.solve(None)
+
+
+def test_solve_gate_rejects_mismatched_permuted_factor():
+    from uwdae.bench import StokesLikeParams, make_stokes_like
+
+    sys = make_stokes_like(StokesLikeParams(m_g=4))
+    op = DetailedOperator(sys, TimeGrid(T=sys.T, K=6))
+    perm = op.stiffness.ordering()
+    assert perm is not None
+    B = op.stiffness
+    op.factor = BandedCholesky(2.0 * B.band(perm), 2.0 * B.norm1, perm=perm, nodes=op.grid.K)
+    with pytest.raises(FactorizationFailure, match="backward error"):
+        op.solve()
 
 
 @pytest.mark.parametrize("w, dim", [(1, 41), (3, 40), (17, 120), (70, 300)])
@@ -177,7 +189,7 @@ def test_blocked_sweep_matches_dense_solve(w, dim):
     # is hit; column counts lie on both sides of the pbtrs/blocked crossover
     rng = np.random.default_rng(w)
     M = _random_banded_spd(rng, dim, w)
-    factor = BandedCholesky(M)
+    factor = BandedCholesky(oracles.lower_band(M), np.abs(M.toarray()).sum(axis=0).max())
     assert factor.bandwidth == w
     for k in (1, BLOCKED_MIN_COLUMNS - 1, BLOCKED_MIN_COLUMNS, 40):
         b = rng.standard_normal((dim, k))
@@ -193,7 +205,7 @@ def test_band_ordering_keeps_the_solution():
     sys = make_stokes_like(StokesLikeParams(m_g=4))
     op = DetailedOperator(sys, TimeGrid(T=sys.T, K=20))
     plain = DetailedOperator(sys, op.grid)
-    plain.factor = BandedCholesky(plain.stiffness.matrix)
+    plain.factor = BandedCholesky(plain.stiffness.band(), plain.stiffness.norm1)
     assert op.factor.perm is not None and plain.factor.perm is None
     assert op.factor.bandwidth < plain.factor.bandwidth
     a, b = l2_norm(op.solve()), l2_norm(plain.solve())
@@ -306,7 +318,7 @@ def test_prolongation_reproduces_cross_stiffness(system):
         J = np.column_stack(
             [replace(coarse, coeffs=e).prolonged_coeffs(fine.grid) for e in np.eye(coarse.coeffs.size)]
         )
-        got = fine.stiffness.matrix @ J
+        got = fine.stiffness @ J
         want = oracles.cross_stiffness(sys, None, coarse.grid, fine.grid, kernel_basis(sys.E))
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
@@ -342,6 +354,20 @@ def test_rlc_large_k_error_and_estimator():
     err8 = l2_error(sol, exact, quad_order=8)
     assert abs(err4 - err8) <= 1e-10 * err8
     assert abs(estimator_detailed(sol) / err8 - 1.0) <= 1e-3
+
+
+def test_raw_estimator_matches_quadrature_at_large_k():
+    # the residual form f_2K - B_2K J c lost 2e-8 relative here to
+    # cancellation amplified by cond(B) ~ K^2; the difference form does not
+    from uwdae.bench import RlcParams, make_rlc
+
+    p = RlcParams()
+    sys = make_rlc(p)
+    sol = solve_detailed(sys, None, TimeGrid(T=p.T, K=16384))
+    fine = solve_detailed(sys, None, sol.grid.refine(2))
+    quad = l2_error(fine, lambda t: evaluate_state(sol, t), quad_order=4)
+    raw = estimator_detailed(sol, corrected=False)
+    assert abs(raw / quad - 1.0) <= 1e-9
 
 
 def test_estimator_rejects_bad_refinement():

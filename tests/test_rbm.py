@@ -35,16 +35,13 @@ def test_control_family_shapes(stokes_op, stokes_family):
 
 
 def test_family_load_matches_assembly(stokes_op, stokes_family):
-    from uwdae.assembly import assemble_control_rhs
+    from uwdae.assembly import vectorize_samples
 
     rng = np.random.default_rng(1)
     mu = rng.standard_normal(stokes_family.parameter_dim)
-    direct = assemble_control_rhs(
-        stokes_op.sys,
-        stokes_op.rhs_op,
-        control_samples=mu,
-        z_terms=sample_rhs_terms(stokes_op.sys.rhs, stokes_op.grid.nodes),
-    )
+    sys, grid = stokes_op.sys, stokes_op.grid
+    nodal = sys.control_matrix @ mu[None, :] + sum(sample_rhs_terms(sys.rhs, grid.nodes))
+    direct = stokes_op.stiffness.load(vectorize_samples(nodal))
     assert np.allclose(stokes_family.load(mu), direct, atol=1e-12)
 
 
@@ -110,7 +107,7 @@ def test_greedy_checks_riesz_solves(stokes_system):
     # a factor of another matrix must not pass as the Riesz representers
     op = DetailedOperator(stokes_system, TimeGrid(T=stokes_system.T, K=8))
     family = control_rhs_family(op)
-    op.factor = BandedCholesky(2.0 * op.stiffness.matrix)
+    op.factor = BandedCholesky(2.0 * op.stiffness.band(), 2.0 * op.stiffness.norm1)
     train = TrainingSet.uniform(family.parameter_dim, 5, seed=0)
     with pytest.raises(FactorizationFailure, match="backward error"):
         greedy(op, family, train, eps=0.0, n_max=3)
@@ -122,7 +119,7 @@ def test_greedy_checks_blocked_riesz_solves(stokes_system):
 
     op = DetailedOperator(stokes_system, TimeGrid(T=stokes_system.T, K=16))
     family = control_rhs_family(op)
-    op.factor = BandedCholesky(2.0 * op.stiffness.matrix)
+    op.factor = BandedCholesky(2.0 * op.stiffness.band(), 2.0 * op.stiffness.norm1)
     assert uses_blocked_sweep(family.Qf, op.factor.bandwidth)
     train = TrainingSet.uniform(family.parameter_dim, 5, seed=0)
     with pytest.raises(FactorizationFailure, match="backward error"):
@@ -148,7 +145,7 @@ def test_greedy_skips_round_off_directions():
 
 def test_basis_orthonormal(stokes_greedy, stokes_op):
     model, _ = stokes_greedy
-    B = stokes_op.stiffness.matrix
+    B = stokes_op.stiffness
     gram = model.basis.Eta.T @ (B @ model.basis.Eta)
     # re-expanding through the Riesz columns loses about a digit relative
     # to the coordinate-space Gram, hence the looser bound than in
@@ -166,7 +163,7 @@ def test_reduced_stiffness_is_identity(stokes_greedy):
 
 def test_snapshot_reproduction(stokes_greedy, stokes_op, stokes_family):
     model, _ = stokes_greedy
-    B = stokes_op.stiffness.matrix
+    B = stokes_op.stiffness
     mu = model.basis.S_N[0]
     x_N = reduced_solve(model, mu)
     coeffs = stokes_op.factor.solve(stokes_family.load(mu))
@@ -185,14 +182,14 @@ def test_reduced_zero_load(stokes_greedy, stokes_op, stokes_family):
     x_N = reduced_solve(model, mu)
     f = stokes_family.load(mu)
     Eta = model.basis.Eta
-    resid = Eta.T @ (f - stokes_op.stiffness.matrix @ lift(model, x_N))
+    resid = Eta.T @ (f - stokes_op.stiffness @ lift(model, x_N))
     assert np.linalg.norm(x_N) > 0
     assert np.linalg.norm(resid) <= 1e-9 * np.linalg.norm(Eta.T @ f)
 
 
 def test_error_residual_identity(stokes_greedy, stokes_op, stokes_family):
     model, _ = stokes_greedy
-    B = stokes_op.stiffness.matrix
+    B = stokes_op.stiffness
     val = TrainingSet.uniform(stokes_family.parameter_dim, 30, seed=77)
     for N in (1, 5, 10):
         sub = model.truncate(N)
@@ -213,7 +210,7 @@ def test_estimator_matches_direct_dual_norm(stokes_greedy, stokes_op, stokes_fam
     mu = rng.uniform(-1, 1, stokes_family.parameter_dim)
     x_N = reduced_solve(sub, mu)
     est = estimator_online(sub, mu, x_N)
-    rho = stokes_family.load(mu) - stokes_op.stiffness.matrix @ lift(sub, x_N)
+    rho = stokes_family.load(mu) - stokes_op.stiffness @ lift(sub, x_N)
     direct = np.sqrt(max(rho @ stokes_op.factor.solve(rho), 0.0))
     assert abs(est - direct) <= 1e-6 * max(direct, 1e-30)
 

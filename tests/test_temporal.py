@@ -2,7 +2,6 @@
 
 import numpy as np
 import pytest
-import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -40,14 +39,6 @@ def test_grams_frozen_k2():
     assert np.allclose(g.Lt.toarray(), Lt, atol=1e-15)
     assert np.allclose(g.Kt.toarray(), Kt, atol=1e-15)
     assert np.allclose(g.Ot.toarray(), Ot, atol=1e-15)
-
-
-def test_gram_blocks_partition():
-    g = build_grams(TimeGrid(T=1.0, K=3))
-    M11, M12, M21, M22 = g.blocks("Lt")
-    assert M11.shape == (3, 3) and M12.shape == (3, 1)
-    assert M21.shape == (1, 3) and M22.shape == (1, 1)
-    assert np.allclose(sp.bmat([[M11, M12], [M21, M22]]).toarray(), g.Lt.toarray())
 
 
 @given(K=st.integers(1, 40), T=st.floats(0.1, 20, allow_nan=False))
