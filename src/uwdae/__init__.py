@@ -33,7 +33,6 @@ from .detailed import (
     DetailedSolution,
     estimator_detailed,
     evaluate_state,
-    implicit_euler_reference,
     l2_error,
     l2_norm,
     output_trajectory,

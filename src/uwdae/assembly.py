@@ -161,15 +161,20 @@ def assemble_stiffness(
     """The block rows of the stiffness at one parameter."""
     grams = build_grams(grid) if grams is None else grams
     E, A = sp.csr_matrix(sys.E), sys.A_at(mu)
-    EAt = (E @ A.T).tocsr()
-    spatial = ((E @ E.T).tocsr(), EAt, EAt.T.tocsr(), (A @ A.T).tocsr())
+    EEt, EAt, AAt = (E @ E.T).tocsr(), (E @ A.T).tocsr(), (A @ A.T).tocsr()
+    spatial = (EEt, EAt, EAt.T.tocsr(), AAt)
     temporal = (grams.Kt, grams.Ot, grams.Ot.T, grams.Lt)
     K, n, SV = grid.K, sys.n, [S @ V.V for S in spatial]
     block = lambda k, l: sum(T[k, l] * S for T, S in zip(temporal, spatial)).tocsr()
-    first, diagonal = block(0, 0), block(K - 1, K - 1)
+    # the diagonal blocks are symmetric to the last bit: a diagonal entry of
+    # Ot scales EA^T + AE^T summed once, and V^T S V is averaged with its transpose
+    symmetric = ((grams.Kt, EEt), (grams.Ot, (EAt + EAt.T).tocsr()), (grams.Lt, AAt))
+    diagonal_block = lambda k: sum(T[k, k] * S for T, S in symmetric).tocsr()
+    first, diagonal = diagonal_block(0), diagonal_block(K - 1)
     lower = block(1, 0) if K > 1 else sp.csr_matrix((n, n))
     coupling = sp.csr_matrix(sum(T[K - 1, K] * sv for T, sv in zip(temporal, SV)).reshape(n, V.d))
-    kernel = sum(T[K, K] * np.einsum("id,ie->de", V.V, sv) for T, sv in zip(temporal, SV))
+    kernel = sum(T[K, K] * np.einsum("id,ie->de", V.V, S @ V.V) for T, S in symmetric)
+    kernel = 0.5 * (kernel + kernel.T)
     # the last node with the kernel unknowns: a symmetric (n+d) x (n+d) block
     kernel_rows = sp.hstack([coupling.T, sp.csr_matrix(kernel)])
     square = sp.vstack([sp.hstack([diagonal, coupling]), kernel_rows]).tocsr()

@@ -2,7 +2,7 @@
 
 Subcommands: solve, convergence, greedy, reduce, rbsolve.
 Exit codes: 0 success, 2 input/validation failure, 3 numerical failure.
-Log verbosity via the UWDAE_LOG environment variable (error/info/debug).
+Validation warnings go to stderr, each line starting "warning:".
 """
 
 from __future__ import annotations
@@ -10,8 +10,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import logging
-import os
 import sys as _sys
 import time
 from dataclasses import replace
@@ -49,18 +47,9 @@ from .rbm import (
 from .system_model import AffineOperator, pw_linear_sampler, theta_constant, validate_system
 from .temporal import TimeGrid
 
-log = logging.getLogger("uwdae")
-
 EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_NUMERICAL = 3
-
-
-def _setup_logging():
-    level = {"error": logging.ERROR, "info": logging.INFO, "debug": logging.DEBUG}.get(
-        os.environ.get("UWDAE_LOG", "error").lower(), logging.ERROR
-    )
-    logging.basicConfig(level=level, format="%(levelname)s %(name)s: %(message)s")
 
 
 def _parse_mu(text: str | None) -> np.ndarray | None:
@@ -105,11 +94,11 @@ def cmd_solve(args) -> int:
     sys, doc = load_manifest(args.manifest)
     diags = validate_system(sys)
     hard = [d for d in diags if not d.startswith("warning")]
-    for d in diags:
-        log.info("validate: %s", d)
     if hard:
         print("validation failed:\n  " + "\n  ".join(hard), file=_sys.stderr)
         return EXIT_INPUT
+    for d in diags:
+        print(d, file=_sys.stderr)
     K = args.K or doc.get("grid", {}).get("K")
     if not K:
         print("no grid size: pass --K or set grid.K in the manifest", file=_sys.stderr)
@@ -316,7 +305,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    _setup_logging()
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)

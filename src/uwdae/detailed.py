@@ -13,11 +13,10 @@ from functools import cached_property
 
 import numpy as np
 import scipy.linalg as la
-import scipy.sparse.linalg as spla
 from numpy.lib.stride_tricks import sliding_window_view
 from scipy.linalg.blas import dtrmm, dtrsm
 
-from .errors import FactorizationFailure, GridMismatch, OutOfDomain, StepSingular
+from .errors import FactorizationFailure, GridMismatch, OutOfDomain
 from .assembly import SpaceTimeOperator, assemble_stiffness, vectorize_samples
 from .system_model import DaeSystem, KernelBasis, kernel_basis, sample_rhs
 from .temporal import (
@@ -38,7 +37,6 @@ __all__ = [
     "l2_error",
     "l2_difference",
     "estimator_detailed",
-    "implicit_euler_reference",
     "output_trajectory",
     "gauss_points",
 ]
@@ -345,23 +343,6 @@ def estimator_detailed(
     if corrected and refinement > 1:
         return raw / np.sqrt(1.0 - 1.0 / refinement**2)
     return raw
-
-
-def implicit_euler_reference(sys: DaeSystem, mu, grid: TimeGrid) -> np.ndarray:
-    """Implicit Euler baseline from a homogeneous start; shape (n, K+1)."""
-    E = sys.E.tocsc()
-    A = sys.A_at(mu).tocsc()
-    dt = grid.dt
-    M = (E - dt * A).tocsc()
-    try:
-        lu = spla.splu(M)
-    except RuntimeError as exc:
-        raise StepSingular(f"step matrix E - dt*A is singular: {exc}") from exc
-    f = sample_rhs(sys.rhs, mu, grid.nodes)
-    X = np.zeros((sys.n, grid.K + 1))
-    for k in range(1, grid.K + 1):
-        X[:, k] = lu.solve(E @ X[:, k - 1] + dt * f[:, k])
-    return X
 
 
 def output_trajectory(sol: DetailedSolution, C: np.ndarray | None = None):

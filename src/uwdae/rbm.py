@@ -4,12 +4,16 @@ Restricted to fully linear systems (parameter-independent A): the
 stiffness matrix, trial and test spaces are then parameter independent,
 the reduced basis is orthonormalized in the test-space topology and the
 online error estimator satisfies an exact error-residual identity.
+
+The online phase takes one parameter (P,) or a batch (M, P): theta(mu) of a
+batch is one evaluation of the compiled ``ThetaTable``, the rest BLAS products.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -19,6 +23,7 @@ from .errors import DegenerateTraining
 from .detailed import DetailedOperator, DetailedSolution
 from .system_model import (
     ThetaExpression,
+    ThetaTable,
     sample_rhs_terms,
     theta_component,
     theta_from_dict,
@@ -69,8 +74,16 @@ class TrainingSet:
         return self.parameters.shape[0]
 
 
+class _Thetas:
+    @cached_property
+    def theta_vector(self) -> ThetaTable:
+        """theta(mu) of ``thetas``, (Q_f,) for a parameter (P,) and (M, Q_f)
+        for a batch (M, P): a table compiled on first use."""
+        return ThetaTable.compile(self.thetas)
+
+
 @dataclass(frozen=True)
-class AffineRhsFamily:
+class AffineRhsFamily(_Thetas):
     """Affine load decomposition f^N(mu) = sum_q theta_q(mu) * Ftilde[:, q]."""
 
     Ftilde: np.ndarray  # (dim, Q_f)
@@ -81,9 +94,6 @@ class AffineRhsFamily:
     @property
     def Qf(self) -> int:
         return self.Ftilde.shape[1]
-
-    def theta_vector(self, mu) -> np.ndarray:
-        return np.array([t(mu) for t in self.thetas])
 
     def load(self, mu) -> np.ndarray:
         return self.Ftilde @ self.theta_vector(mu)
@@ -148,7 +158,7 @@ class ReducedBasis:
 
 
 @dataclass(frozen=True)
-class ReducedModel:
+class ReducedModel(_Thetas):
     """Online data of a reduced basis.
 
     The basis is orthonormal in the test-space topology, so the reduced
@@ -172,9 +182,6 @@ class ReducedModel:
     @property
     def Qf(self) -> int:
         return self.rhs_offline.shape[0]
-
-    def theta_vector(self, mu) -> np.ndarray:
-        return np.array([t(mu) for t in self.thetas])
 
     def truncate(self, N: int) -> "ReducedModel":
         """Sub-model spanned by the first N greedy basis functions."""
@@ -243,7 +250,7 @@ def greedy(
     # identity cancels cleanly at snapshot parameters
     G = _mm(R.T, BR)
     G = 0.5 * (G + G.T)
-    Theta = np.array([family.theta_vector(mu) for mu in train.parameters])
+    Theta = family.theta_vector(train.parameters)
 
     load_norm2 = np.einsum("ij,jk,ik->i", Theta, _mm(Ftilde.T, Ftilde), Theta)
     if not np.any(load_norm2 > 0):
@@ -310,19 +317,21 @@ def greedy(
 
 
 def reduced_solve(model: ReducedModel, mu) -> np.ndarray:
-    """Reduced solution for one parameter; the reduced system is the identity."""
-    return model.rhs_offline.T @ model.theta_vector(mu)
+    """Reduced solution, (N,) or (M, N) for mu (P,) or (M, P); the reduced system is I."""
+    return _mm(model.theta_vector(mu), model.rhs_offline)
 
 
-def estimator_online(model: ReducedModel, mu, x_N: np.ndarray) -> float:
-    """Certified estimate of the detailed-vs-reduced L2 error.
+def estimator_online(model: ReducedModel, mu, x_N: np.ndarray):
+    """Certified estimate of the detailed-vs-reduced L2 error: a float for a
+    parameter (P,) and x_N (N,), an (M,) array for a batch (M, P) and (M, N).
 
     Exact error-residual identity up to round-off; tiny negative values
     from cancellation are clamped to zero.
     """
     x_N = np.asarray(x_N, dtype=float)
     theta = model.theta_vector(mu)
-    return float(_residual_norms(theta, model.basis.coords, x_N, model.riesz_gram))
+    # [()] turns the 0-d result of one parameter into a (float) scalar
+    return _residual_norms(theta, model.basis.coords, x_N, model.riesz_gram)[()]
 
 
 def lift(model: ReducedModel, x_N: np.ndarray) -> np.ndarray:

@@ -32,6 +32,7 @@ __all__ = [
     "theta_to_dict",
     "theta_from_dict",
     "theta_shift",
+    "ThetaTable",
     "AffineOperator",
     "DaeSystem",
     "KernelBasis",
@@ -62,6 +63,9 @@ class ThetaExpression:
     * ``component``: mu -> mu[index]
     * ``monomial``:  mu -> coeff * prod_i mu[i]**exponents[i]
     * ``callable``:  arbitrary function, escape hatch, not serializable
+
+    Families compile to one ``ThetaTable``, a single NumPy expression;
+    ``callable`` stays one Python call per parameter there, the slow path.
     """
 
     kind: str
@@ -181,6 +185,46 @@ def theta_product(a: ThetaExpression, b: ThetaExpression) -> ThetaExpression:
         eb = mb.exponents + (0,) * (n - len(mb.exponents))
         return theta_monomial(ma.coeff * mb.coeff, tuple(x + y for x, y in zip(ea, eb)))
     return theta_callable(lambda mu, _a=a, _b=b: _a(mu) * _b(mu))
+
+
+@dataclass(frozen=True)
+class ThetaTable:
+    """Thetas compiled to theta_q(mu) = coeff[q] * prod_j ext[idx[q, j]].
+
+    ext is mu's first ``dim`` components followed by 1.0: an exponent e
+    repeats its component's index e times, and padding points at the 1.0.
+    ``calls`` are the callable thetas, evaluated per parameter in their columns.
+    """
+
+    coeff: np.ndarray  # (Q,)
+    idx: np.ndarray  # (Q, D)
+    dim: int  # components a theta reads; a shorter parameter is refused
+    calls: tuple[tuple[int, ThetaExpression], ...]
+
+    @staticmethod
+    def compile(thetas: Sequence[ThetaExpression]) -> "ThetaTable":
+        monos = [_as_monomial(t) for t in thetas]
+        exponents = [() if m is None else m.exponents for m in monos]
+        dim = max(map(len, exponents), default=0)
+        factors = [np.repeat(np.arange(len(e)), e) for e in exponents]
+        idx = np.full((len(thetas), max(map(len, factors), default=0)), dim, dtype=np.intp)
+        for row, f in zip(idx, factors):
+            row[: len(f)] = f
+        coeff = np.array([1.0 if m is None else m.coeff for m in monos])
+        calls = tuple((q, t) for q, (t, m) in enumerate(zip(thetas, monos)) if m is None)
+        return ThetaTable(coeff=coeff, idx=idx, dim=dim, calls=calls)
+
+    def __call__(self, mu) -> np.ndarray:
+        """theta(mu), (Q,) for a parameter (P,) and (M, Q) for a batch (M, P)."""
+        mu = np.atleast_1d(np.asarray(mu, dtype=float))
+        if mu.shape[-1] < self.dim:
+            msg = f"thetas use {self.dim} components, parameter has dimension {mu.shape[-1]}"
+            raise ParameterDimensionMismatch(msg)
+        ext = np.concatenate([mu[..., : self.dim], np.ones(mu.shape[:-1] + (1,))], axis=-1)
+        out = self.coeff * ext[..., self.idx].prod(axis=-1)
+        for q, t in self.calls:
+            out[..., q] = np.apply_along_axis(t, -1, mu)
+        return out
 
 
 # ---------------------------------------------------------------------------

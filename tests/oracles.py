@@ -8,6 +8,10 @@ internals they are meant to check.
 
 import numpy as np
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
+
+from uwdae.errors import StepSingular
+from uwdae.system_model import sample_rhs
 
 
 def gauss_on_cells(nodes: np.ndarray, order: int):
@@ -209,3 +213,20 @@ def mirror_band(ab) -> np.ndarray:
         M[idx + o, idx] = ab[o, : dim - o]
         M[idx, idx + o] = ab[o, : dim - o]
     return M
+
+
+def implicit_euler_reference(sys, mu, grid) -> np.ndarray:
+    """Implicit Euler baseline from a homogeneous start; shape (n, K+1)."""
+    E = sys.E.tocsc()
+    A = sys.A_at(mu).tocsc()
+    dt = grid.dt
+    M = (E - dt * A).tocsc()
+    try:
+        lu = spla.splu(M)
+    except RuntimeError as exc:
+        raise StepSingular(f"step matrix E - dt*A is singular: {exc}") from exc
+    f = sample_rhs(sys.rhs, mu, grid.nodes)
+    X = np.zeros((sys.n, grid.K + 1))
+    for k in range(1, grid.K + 1):
+        X[:, k] = lu.solve(E @ X[:, k - 1] + dt * f[:, k])
+    return X

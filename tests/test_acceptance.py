@@ -22,7 +22,6 @@ from uwdae.detailed import (
     DetailedOperator,
     estimator_detailed,
     evaluate_state,
-    implicit_euler_reference,
     l2_difference,
     l2_error,
     solve_detailed,
@@ -262,7 +261,7 @@ def test_criterion_09_homogenization_roundtrip():
 
     grid = TimeGrid(T=1.0, K=256)
     sol = solve_detailed(hom, None, grid)
-    euler = implicit_euler_reference(hom, None, grid)
+    euler = oracles.implicit_euler_reference(hom, None, grid)
     t_in = grid.nodes[1:-1]
     dev = np.abs(evaluate_state(sol, t_in) - euler[:, 1:-1]).max()
     ok = first_order and dev <= 5.0 * grid.dt

@@ -92,14 +92,19 @@ def test_stiffness_matches_quadrature_gram():
 
 def test_block_consistency():
     # the band, the product and the norm are read off the same blocks by
-    # separate code; they describe one matrix
-    rng = np.random.default_rng(3)
-    sys, grid = oracles.random_sparse_system(rng, n=4, K=3, rank=2)
-    B = assemble_stiffness(sys, None, grid, kernel_basis(sys.E))
-    M = _dense(B)
-    scale = np.abs(M).max()
-    assert np.abs(oracles.mirror_band(B.band()) - M).max() <= 1e-15 * scale
-    assert abs(B.norm1 - np.abs(M).sum(axis=0).max()) <= 1e-14 * scale
+    # separate code; they describe one matrix, symmetric to the last bit
+    rlc = make_rlc(RlcParams())
+    cases = [
+        oracles.random_sparse_system(np.random.default_rng(3), n=4, K=3, rank=2),
+        (rlc, TimeGrid(T=rlc.T, K=5)),
+    ]
+    for sys, grid in cases:
+        B = assemble_stiffness(sys, None, grid, kernel_basis(sys.E))
+        M = _dense(B)
+        assert B.n == 4 and B.V.d == 2
+        assert np.array_equal(M, M.T)
+        assert np.array_equal(oracles.mirror_band(B.band()), M)
+        assert abs(B.norm1 - np.abs(M).sum(axis=0).max()) <= 1e-14 * np.abs(M).max()
 
 
 @pytest.mark.parametrize("K", [1, 2, 7])

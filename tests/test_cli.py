@@ -5,14 +5,15 @@ import json
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
-from uwdae import TimeGrid, kernel_basis
+from uwdae import AffineOperator, DaeSystem, TimeGrid, kernel_basis
 from uwdae.assembly import vectorize_samples
 from uwdae.bench import RlcParams, StokesLikeParams, make_rlc, make_stokes_like
 from uwdae.cli import EXIT_INPUT, EXIT_NUMERICAL, EXIT_OK, main
 from uwdae.detailed import DetailedOperator, l2_difference, l2_norm
 from uwdae.manifest import load_manifest, write_manifest
-from uwdae.system_model import sample_rhs_terms
+from uwdae.system_model import constant_sampler, sample_rhs_terms, theta_constant
 
 import oracles
 from conftest import make_algebraic
@@ -48,6 +49,23 @@ def test_solve_rlc(rlc_manifest, tmp_path, capsys):
     summary = json.loads((out / "summary.json").read_text())
     assert set(summary) == {"dims", "residual", "estimator", "wall_ms"}
     assert summary["dims"] == 4 * 100 + 2
+
+
+def test_solve_prints_validation_warning(tmp_path, capsys):
+    # E = 0 forces x = -f = 0, so x0 = 1 is inconsistent: a warning, not an error
+    sys = DaeSystem(
+        n=1,
+        E=sp.csr_matrix((1, 1)),
+        A=AffineOperator.constant(sp.identity(1, format="csr")),
+        rhs=AffineOperator(terms=((theta_constant(1.0), constant_sampler([0.0])),)),
+        x0=AffineOperator(terms=((theta_constant(1.0), np.array([1.0])),)),
+        T=1.0,
+    )
+    write_manifest(sys, tmp_path / "inconsistent", grid_K=8)
+    args = ["solve", "--manifest", str(tmp_path / "inconsistent"), "--out", str(tmp_path / "o")]
+    assert main(args) == EXIT_OK
+    err = capsys.readouterr().err
+    assert err.startswith("warning: initial value appears inconsistent with f(0+)")
 
 
 def test_solve_missing_manifest(tmp_path, capsys):

@@ -12,7 +12,6 @@ from uwdae.detailed import (
     DetailedOperator,
     estimator_detailed,
     evaluate_state,
-    implicit_euler_reference,
     l2_difference,
     l2_error,
     l2_norm,
@@ -400,7 +399,7 @@ def test_best_approximation_property():
 
 def test_euler_scalar_closed_form():
     grid = TimeGrid(T=1.0, K=50)
-    X = implicit_euler_reference(make_scalar_ode(), None, grid)
+    X = oracles.implicit_euler_reference(make_scalar_ode(), None, grid)
     k = np.arange(51)
     expect = 1.0 - (1.0 + grid.dt) ** (-k.astype(float))
     assert np.abs(X[0] - expect).max() < 1e-12
@@ -408,7 +407,7 @@ def test_euler_scalar_closed_form():
 
 def test_euler_algebraic_collapse():
     grid = TimeGrid(T=1.0, K=10)
-    X = implicit_euler_reference(make_algebraic(), None, grid)
+    X = oracles.implicit_euler_reference(make_algebraic(), None, grid)
     assert np.abs(X[0, 1:] + grid.nodes[1:]).max() < 1e-13
 
 
@@ -417,7 +416,7 @@ def test_euler_rlc_tracks_analytic():
 
     p = RlcParams()
     grid = TimeGrid(T=p.T, K=1000)
-    X = implicit_euler_reference(make_rlc(p), None, grid)
+    X = oracles.implicit_euler_reference(make_rlc(p), None, grid)
     ref = rlc_analytic(p, grid.nodes)
     amp = np.abs(ref).max()
     # measured constant is 1.4e-2 of amplitude at K=1000 (first order)
@@ -438,7 +437,7 @@ def test_euler_singular_step():
         T=1.0,
     )
     with pytest.raises(StepSingular):
-        implicit_euler_reference(sys, None, grid)
+        oracles.implicit_euler_reference(sys, None, grid)
 
 
 # -- outputs -----------------------------------------------------------------

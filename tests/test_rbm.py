@@ -5,7 +5,7 @@ import pytest
 
 from uwdae import TimeGrid
 from uwdae.detailed import BandedCholesky, DetailedOperator, l2_norm
-from uwdae.errors import DegenerateTraining, FactorizationFailure
+from uwdae.errors import DegenerateTraining, FactorizationFailure, ParameterDimensionMismatch
 from uwdae.rbm import (
     TrainingSet,
     control_rhs_family,
@@ -222,6 +222,30 @@ def test_offline_online_consistency(stokes_greedy, stokes_op, stokes_family):
     online = model.rhs_offline.T @ model.theta_vector(mu)
     scratch = model.basis.Eta.T @ stokes_family.load(mu)
     assert np.abs(online - scratch).max() <= 1e-8 * max(np.abs(scratch).max(), 1.0)
+
+
+def test_batched_online_matches_single_queries(stokes_greedy, stokes_family):
+    # one call on a (M, P) batch is M single queries, to round-off; N = 10 keeps
+    # Delta_N (0.01-0.07) well above its round-off floor of ~1e-16
+    model = stokes_greedy[0].truncate(10)
+    mus = np.random.default_rng(21).uniform(-1.0, 1.0, (10_000, model.parameter_dim))
+    X = reduced_solve(model, mus)
+    deltas = estimator_online(model, mus, X)
+    assert X.shape == (10_000, 10) and deltas.shape == (10_000,)
+    singles = [reduced_solve(model, mu) for mu in mus]
+    single_deltas = [estimator_online(model, mu, x) for mu, x in zip(mus, singles)]
+    assert all(isinstance(d, float) for d in single_deltas)
+    assert np.abs(X - singles).max() <= 1e-14 * np.abs(X).max()
+    assert np.abs(deltas - single_deltas).max() <= 1e-14 * deltas.max()
+    Theta = stokes_family.theta_vector(mus[:100])
+    assert np.array_equal(Theta, [stokes_family.theta_vector(mu) for mu in mus[:100]])
+
+
+def test_online_refuses_short_parameter(stokes_greedy):
+    model = stokes_greedy[0]
+    for mu in (np.ones(model.parameter_dim - 1), np.ones((3, model.parameter_dim - 1))):
+        with pytest.raises(ParameterDimensionMismatch):
+            reduced_solve(model, mu)
 
 
 def test_lift_basics(stokes_greedy):

@@ -24,8 +24,10 @@ from uwdae.errors import (
     ParameterDimensionMismatch,
 )
 from uwdae.system_model import (
+    ThetaTable,
     constant_sampler,
     sample_rhs,
+    theta_callable,
     theta_component,
     theta_constant,
     theta_from_dict,
@@ -72,6 +74,55 @@ def test_theta_shift_reindexes():
     assert theta_shift(theta_component(0), 2)(mu) == 7.0
     assert theta_shift(theta_monomial(2.0, (1,)), 2)(mu) == 14.0
     assert theta_shift(theta_constant(4.0), 2)(mu) == 4.0
+
+
+def _mixed_thetas():
+    return (
+        theta_constant(-2.5),
+        theta_component(3),
+        theta_monomial(0.5, (2, 0, 3)),
+        theta_shift(theta_monomial(2.0, (1, 2)), 1),
+        theta_shift(theta_component(0), 2),
+        theta_product(theta_component(1), theta_monomial(-3.0, (0, 0, 2))),
+        theta_callable(lambda mu: np.sin(mu[0]) + mu[-1]),
+        theta_constant(0.0),
+    )
+
+
+def test_theta_table_matches_expressions():
+    thetas = _mixed_thetas()
+    table = ThetaTable.compile(thetas)
+    assert [q for q, _ in table.calls] == [6]  # only the callable leaves the table
+    assert table.dim == 4 and table.idx.shape == (8, 5)
+    mus = np.random.default_rng(4).uniform(-2.0, 2.0, (50, 6))
+    want = np.array([[t(mu) for t in thetas] for mu in mus])
+    # exponents >= 2 are products instead of powers: equal to round-off
+    assert np.allclose(table(mus), want, rtol=1e-15, atol=0.0)
+    for mu, row in zip(mus[:5], want):
+        assert table(mu).shape == (8,)
+        assert np.allclose(table(mu), row, rtol=1e-15, atol=0.0)
+    # constants and components are copied, not computed
+    exact = [0, 1, 4, 7]
+    assert np.array_equal(table(mus)[:, exact], want[:, exact])
+
+
+def test_theta_table_without_callables_or_factors():
+    table = ThetaTable.compile((theta_constant(3.0), theta_constant(-1.0)))
+    assert table.dim == 0 and table.idx.shape == (2, 0) and table.calls == ()
+    assert np.array_equal(table(np.zeros(2)), [3.0, -1.0])
+    assert np.array_equal(table(np.zeros((4, 1))), np.tile([3.0, -1.0], (4, 1)))
+
+
+def test_theta_table_rejects_short_parameter():
+    table = ThetaTable.compile(_mixed_thetas())
+    for mu in (np.ones(3), np.ones((7, 3))):
+        with pytest.raises(ParameterDimensionMismatch, match="parameter has dimension 3"):
+            table(mu)
+    # a monomial needs as many components as it lists exponents, as when called alone
+    with pytest.raises(ParameterDimensionMismatch):
+        ThetaTable.compile((theta_monomial(1.0, (1, 0, 0)),))(np.ones(2))
+    with pytest.raises(ParameterDimensionMismatch):
+        theta_monomial(1.0, (1, 0, 0))(np.ones(2))
 
 
 # -- affine operators --------------------------------------------------------
