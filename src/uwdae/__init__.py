@@ -10,18 +10,16 @@ from .system_model import (
     AffineOperator,
     DaeSystem,
     KernelBasis,
-    PencilDiagnostics,
     ThetaExpression,
     affine_eval,
     homogenize,
     kernel_basis,
-    pencil_probe,
     theta_component,
     theta_constant,
     theta_monomial,
     validate_system,
 )
-from .temporal import GramTriplet, TimeGrid, build_grams, prolong_control, sample_on_grid
+from .temporal import GramTriplet, TimeGrid, build_grams, sample_on_grid
 from .assembly import (
     RhsOperator,
     SpaceTimeOperator,
@@ -35,7 +33,6 @@ from .detailed import (
     evaluate_state,
     l2_error,
     l2_norm,
-    output_trajectory,
     solve_detailed,
 )
 from .rbm import (

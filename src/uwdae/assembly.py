@@ -18,7 +18,6 @@ import scipy.sparse as sp
 from numpy.lib.stride_tricks import as_strided
 from scipy.sparse.csgraph import reverse_cuthill_mckee
 
-from .errors import SingularAssembly
 from .system_model import DaeSystem, KernelBasis
 from .temporal import GramTriplet, TimeGrid, build_grams
 
@@ -178,20 +177,10 @@ def assemble_stiffness(
     # the last node with the kernel unknowns: a symmetric (n+d) x (n+d) block
     kernel_rows = sp.hstack([coupling.T, sp.csr_matrix(kernel)])
     square = sp.vstack([sp.hstack([diagonal, coupling]), kernel_rows]).tocsr()
-    for name, M in (("first diagonal", first), ("last diagonal", square)):
-        _check_symmetry(name, M)
     below = sp.vstack([lower, sp.csr_matrix((V.d, n))])
     last = sp.hstack([below, square]) if K > 1 else square
     rows = (sp.hstack([first, lower.T]), sp.hstack([lower, diagonal, lower.T]), last)
     return SpaceTimeOperator(grid=grid, n=n, V=V, grams=grams, rows=tuple(M.tocsr() for M in rows))
-
-
-def _check_symmetry(name: str, M: sp.csr_matrix) -> None:
-    asym, scale = (abs(M - M.T).max(), abs(M).max()) if M.nnz else (0.0, 1.0)
-    if asym > 1e-12 * scale:
-        raise SingularAssembly(
-            f"{name} block of the stiffness is not symmetric (relative asymmetry {asym/scale:.2e})"
-        )
 
 
 def assemble_rhs_operator(

@@ -7,23 +7,24 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .assembly import vectorize_samples
 from .errors import UwdaeError
 from .detailed import (
     DetailedOperator,
     estimator_detailed,
+    gauss_points,
+    l2_difference,
     l2_error,
+    l2_norm,
 )
-from .rbm import TrainingSet, control_rhs_family, greedy
+from .rbm import control_rhs_family
 from .system_model import (
     AffineOperator,
     DaeSystem,
     constant_sampler,
     homogenize,
-    sample_rhs_terms,
     theta_constant,
 )
-from .temporal import TimeGrid, prolong_control
+from .temporal import TimeGrid
 
 __all__ = [
     "RlcParams",
@@ -34,7 +35,6 @@ __all__ = [
     "rlc_analytic",
     "make_stokes_like",
     "convergence_study",
-    "greedy_study",
     "timereduction_study",
     "smooth_random_controls",
 ]
@@ -292,8 +292,6 @@ def convergence_study(sys: DaeSystem, reference, K_list, mu=None, refinement: in
 
 
 def _ref_norm(reference, grid: TimeGrid) -> float:
-    from .detailed import gauss_points
-
     x, w = gauss_points(6)
     pts = (grid.nodes[:-1, None] + grid.dt * x[None, :]).ravel()
     wts = np.tile(grid.dt * w, grid.K)
@@ -303,27 +301,6 @@ def _ref_norm(reference, grid: TimeGrid) -> float:
 
 def fit_loglog_slope(xs, ys) -> float:
     return float(np.polyfit(np.log(np.asarray(xs, float)), np.log(np.asarray(ys, float)), 1)[0])
-
-
-def greedy_study(
-    sys: DaeSystem,
-    K_list,
-    n_train: int = 100,
-    seed: int = 0,
-    eps: float = 0.0,
-    n_max: int | None = None,
-):
-    """Greedy decay curves for K = K_u in K_list; returns {K: history}."""
-    out = {}
-    for K in K_list:
-        grid = TimeGrid(T=sys.T, K=int(K))
-        op = DetailedOperator(sys, grid)
-        family = control_rhs_family(op, control_grid=grid)
-        train = TrainingSet.uniform(family.parameter_dim, n_train, seed)
-        cap = family.Qf if n_max is None else n_max
-        _, history = greedy(op, family, train, eps=eps, n_max=cap)
-        out[int(K)] = history
-    return out
 
 
 def smooth_random_controls(grid: TimeGrid, count: int, seed: int, modes: int = 3):
@@ -344,38 +321,32 @@ def timereduction_study(
 ):
     """Max relative state error of coarse-sampled controls vs full resolution.
 
-    For each K_u, every test control is restricted to the coarse grid,
-    prolonged back and solved; the error is measured against the solve
-    with the fully resolved control.  Returns rows (Ku, max_rel_err).
+    For each K_u, every test control is sampled at the K_u + 1 nodes of a
+    coarse grid and enters through the reduced basis load family, i.e. as
+    its coarse hat interpolant; the error is measured against the same
+    control sampled at all K + 1 nodes.  The system's own rhs terms enter
+    at parameter 0.  Returns rows (Ku, max_rel_err).
     """
-    from .detailed import l2_difference, l2_norm
-
     if sys.control_matrix is None:
         raise ValueError("system has no control matrix")
     grid = TimeGrid(T=sys.T, K=int(K))
     op = DetailedOperator(sys, grid)
-    controls = smooth_random_controls(grid, n_controls, seed)
-    z = sum(sample_rhs_terms(sys.rhs, grid.nodes))
-    B = np.asarray(sys.control_matrix, dtype=float)
+    m = sys.control_matrix.shape[1]
 
-    def solve(u_fine):
-        return op.solve_load(op.stiffness.load(vectorize_samples(B @ u_fine[None, :] + z)))
+    def solve(Ku):
+        family = control_rhs_family(op, control_grid=TimeGrid(T=sys.T, K=Ku))
+        u = smooth_random_controls(family.control_grid, n_controls * m, seed)
+        mu = np.zeros((n_controls, family.parameter_dim))
+        mu[:, : m * (Ku + 1)] = u.reshape(n_controls, m * (Ku + 1))
+        return [op.solve_load(load) for load in family.load(mu).T]
 
-    full_sols = [solve(u) for u in controls]
+    full_sols = solve(grid.K)
     rows = []
-    for Ku in Ku_list:
-        coarse = TimeGrid(T=sys.T, K=int(Ku))
+    for Ku in map(int, Ku_list):
         max_err = 0.0
-        for u, ref_sol in zip(controls, full_sols):
-            u_coarse = _restrict_to(coarse, grid, u)
-            sol = solve(prolong_control(u_coarse, coarse, grid))
+        for sol, ref_sol in zip(solve(Ku), full_sols):
             denom = l2_norm(ref_sol)
             err = l2_difference(sol, ref_sol) / denom if denom > 0 else 0.0
             max_err = max(max_err, err)
-        rows.append((int(Ku), max_err))
+        rows.append((Ku, max_err))
     return rows
-
-
-def _restrict_to(coarse: TimeGrid, fine: TimeGrid, samples: np.ndarray) -> np.ndarray:
-    """Point samples of the fine-grid interpolant at the coarse nodes."""
-    return np.interp(coarse.nodes, fine.nodes, np.asarray(samples, dtype=float))

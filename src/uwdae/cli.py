@@ -20,14 +20,7 @@ import scipy.io
 import scipy.sparse as sp
 
 from . import bench
-from .errors import (
-    FactorizationFailure,
-    IrregularPencil,
-    ManifestError,
-    SingularAssembly,
-    StepSingular,
-    UwdaeError,
-)
+from .errors import FactorizationFailure, ManifestError, UwdaeError
 from .detailed import (
     DetailedOperator,
     estimator_detailed,
@@ -153,24 +146,19 @@ def cmd_convergence(args) -> int:
     return EXIT_OK
 
 
-def _build_linear_op(args):
+def _bench_or_manifest(args):
+    """The system of ``--bench stokes`` or ``--manifest``."""
     if args.bench == "stokes":
-        sys = bench.make_stokes_like(bench.StokesLikeParams(m_g=args.mg, T=args.T))
-    elif args.manifest:
-        sys, _ = load_manifest(args.manifest)
-    else:
-        print("pass --manifest or --bench stokes", file=_sys.stderr)
-        return None, None, None
-    grid = TimeGrid(T=sys.T, K=args.K)
-    op = DetailedOperator(sys, grid)
-    family = control_rhs_family(op, control_grid=TimeGrid(T=sys.T, K=args.Ku or args.K))
-    return sys, op, family
+        return bench.make_stokes_like(bench.StokesLikeParams(m_g=args.mg, T=args.T))
+    if args.manifest:
+        return load_manifest(args.manifest)[0]
+    raise ManifestError("pass --manifest or --bench stokes")
 
 
 def cmd_greedy(args) -> int:
-    sys, op, family = _build_linear_op(args)
-    if op is None:
-        return EXIT_INPUT
+    sys = _bench_or_manifest(args)
+    op = DetailedOperator(sys, TimeGrid(T=sys.T, K=args.K))
+    family = control_rhs_family(op, control_grid=TimeGrid(T=sys.T, K=args.Ku or args.K))
     train = TrainingSet.uniform(family.parameter_dim, args.ntrain, args.seed)
     n_max = args.nmax or family.Qf
     t0 = time.perf_counter()
@@ -191,15 +179,8 @@ def cmd_greedy(args) -> int:
 
 
 def cmd_reduce(args) -> int:
-    if args.bench == "stokes":
-        sys = bench.make_stokes_like(bench.StokesLikeParams(m_g=args.mg, T=args.T))
-    elif args.manifest:
-        sys, _ = load_manifest(args.manifest)
-    else:
-        print("pass --manifest or --bench stokes", file=_sys.stderr)
-        return EXIT_INPUT
     Ku_list = [int(k) for k in args.Ku_list.split(",")]
-    rows = bench.timereduction_study(sys, args.K, Ku_list, seed=args.seed)
+    rows = bench.timereduction_study(_bench_or_manifest(args), args.K, Ku_list, seed=args.seed)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     with open(out / "timereduction.csv", "w", newline="") as fh:
@@ -311,7 +292,7 @@ def main(argv=None) -> int:
     except (ManifestError, FileNotFoundError, ValueError) as exc:
         print(f"input error: {exc}", file=_sys.stderr)
         return EXIT_INPUT
-    except (SingularAssembly, FactorizationFailure, IrregularPencil, StepSingular) as exc:
+    except FactorizationFailure as exc:
         print(f"numerical error: {exc}", file=_sys.stderr)
         return EXIT_NUMERICAL
     except UwdaeError as exc:

@@ -37,7 +37,6 @@ __all__ = [
     "l2_error",
     "l2_difference",
     "estimator_detailed",
-    "output_trajectory",
     "gauss_points",
 ]
 
@@ -343,17 +342,3 @@ def estimator_detailed(
     if corrected and refinement > 1:
         return raw / np.sqrt(1.0 - 1.0 / refinement**2)
     return raw
-
-
-def output_trajectory(sol: DetailedSolution, C: np.ndarray | None = None):
-    """Outputs C x at cell midpoints; returns (times, values (p, K))."""
-    if C is None:
-        C = sol.sys.output_matrix
-    C = np.atleast_2d(np.asarray(C, dtype=float))
-    if C.shape[1] != sol.sys.n:
-        raise ValueError(
-            f"output matrix has {C.shape[1]} columns, state dimension is {sol.sys.n}"
-        )
-    nodes = sol.grid.nodes
-    mids = 0.5 * (nodes[:-1] + nodes[1:])
-    return mids, C @ evaluate_state(sol, mids)

@@ -5,10 +5,6 @@ class UwdaeError(Exception):
     """Base class for all package errors."""
 
 
-class IrregularPencil(UwdaeError):
-    """All probe shifts lambda*E - A were numerically singular."""
-
-
 class InconsistentExtension(UwdaeError):
     """Initial-condition extension has the wrong dimension."""
 
@@ -21,20 +17,12 @@ class GridMismatch(UwdaeError):
     """Two time grids that must share a horizon do not."""
 
 
-class SingularAssembly(UwdaeError):
-    """Assembled stiffness matrix is not symmetric."""
-
-
 class FactorizationFailure(UwdaeError):
     """Stiffness matrix not positive definite, or a solve failed its gate."""
 
 
-class StepSingular(UwdaeError):
-    """Implicit Euler step matrix (E - dt*A) is singular."""
-
-
 class DegenerateTraining(UwdaeError):
-    """Every training parameter has zero error estimate at N=1."""
+    """Training loads all vanish, or the first snapshot has zero norm."""
 
 
 class OutOfDomain(UwdaeError):

@@ -58,17 +58,11 @@ class TrainingSet:
 
     parameters: np.ndarray  # (count, P)
     rng_seed: int
-    spec: dict
 
     @staticmethod
     def uniform(dim: int, count: int, seed: int, low=-1.0, high=1.0) -> "TrainingSet":
         rng = np.random.default_rng(seed)
-        params = rng.uniform(low, high, size=(count, dim))
-        return TrainingSet(
-            parameters=params,
-            rng_seed=seed,
-            spec={"kind": "uniform", "dim": dim, "count": count, "low": low, "high": high},
-        )
+        return TrainingSet(parameters=rng.uniform(low, high, size=(count, dim)), rng_seed=seed)
 
     def __len__(self) -> int:
         return self.parameters.shape[0]
@@ -96,7 +90,8 @@ class AffineRhsFamily(_Thetas):
         return self.Ftilde.shape[1]
 
     def load(self, mu) -> np.ndarray:
-        return self.Ftilde @ self.theta_vector(mu)
+        """f^N(mu), (dim,) for a parameter (P,) and (dim, M) for a batch (M, P)."""
+        return _mm(self.Ftilde, self.theta_vector(mu).T)
 
 
 def control_rhs_family(

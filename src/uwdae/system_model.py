@@ -17,7 +17,6 @@ import scipy.sparse as sp
 
 from .errors import (
     InconsistentExtension,
-    IrregularPencil,
     ParameterDimensionMismatch,
     UwdaeError,
 )
@@ -36,10 +35,8 @@ __all__ = [
     "AffineOperator",
     "DaeSystem",
     "KernelBasis",
-    "PencilDiagnostics",
     "validate_system",
     "kernel_basis",
-    "pencil_probe",
     "homogenize",
     "affine_eval",
     "sample_rhs",
@@ -318,14 +315,6 @@ class DaeSystem:
     control_matrix: np.ndarray | None = None
     output_matrix: np.ndarray | None = None
 
-    @property
-    def m(self) -> int:
-        return 0 if self.control_matrix is None else self.control_matrix.shape[1]
-
-    @property
-    def p(self) -> int:
-        return 0 if self.output_matrix is None else self.output_matrix.shape[0]
-
     def A_at(self, mu) -> sp.spmatrix:
         M = affine_eval(self.A, mu)
         return sp.csr_matrix(M) if not sp.issparse(M) else M.tocsr()
@@ -342,13 +331,6 @@ class KernelBasis:
     V: np.ndarray
     d: int
     tol: float
-
-
-@dataclass(frozen=True)
-class PencilDiagnostics:
-    regular: bool
-    probe_lambdas: tuple[float, ...]
-    index_estimate: int | str  # "unknown" when not estimable
 
 
 # ---------------------------------------------------------------------------
@@ -444,60 +426,6 @@ def kernel_basis(E: sp.spmatrix, tol: float = DEFAULT_RANK_TOL) -> KernelBasis:
     d = n - rank
     V = Wt[rank:].T.copy() if d > 0 else np.zeros((n, 0))
     return KernelBasis(V=V, d=d, tol=tol)
-
-
-def pencil_probe(
-    sys: DaeSystem,
-    mu,
-    lambdas: Sequence[float],
-    cond_cap: float = 1e12,
-    rank_tol: float = DEFAULT_RANK_TOL,
-) -> PencilDiagnostics:
-    """Probe regularity of the pencil {E, -A_mu} and estimate its index.
-
-    The index estimate comes from rank stabilization of powers of
-    (lambda0*E - A)^(-1) E at the first regular probe shift; it is a
-    diagnostic, not a certified computation.
-    """
-    if not lambdas:
-        raise ValueError("need at least one probe lambda")
-    E = sys.E.toarray()
-    A = sys.A_at(mu).toarray()
-    n = sys.n
-    witness = None
-    for lam in lambdas:
-        M = lam * E - A
-        try:
-            cond = np.linalg.cond(M)
-        except np.linalg.LinAlgError:
-            continue
-        if np.isfinite(cond) and cond < cond_cap:
-            witness = lam
-            break
-    if witness is None:
-        raise IrregularPencil(
-            f"all probe shifts {list(lambdas)} gave singular lambda*E - A"
-        )
-    Ehat = np.linalg.solve(witness * E - A, E)
-
-    def _rank(M):
-        s = np.linalg.svd(M, compute_uv=False)
-        smax = s[0] if s.size else 0.0
-        return int(np.sum(s > rank_tol * smax)) if smax > 0 else 0
-
-    prev = n  # rank(Ehat^0) = rank(identity)
-    index = "unknown"
-    P = np.eye(n)
-    for k in range(n + 1):
-        P = P @ Ehat
-        r = _rank(P)
-        if r == prev:
-            index = k
-            break
-        prev = r
-    return PencilDiagnostics(
-        regular=True, probe_lambdas=tuple(float(x) for x in lambdas), index_estimate=index
-    )
 
 
 Extension = tuple[Callable[[np.ndarray], np.ndarray], Callable[[np.ndarray], np.ndarray]]

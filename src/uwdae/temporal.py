@@ -25,7 +25,6 @@ __all__ = [
     "build_grams",
     "sample_on_grid",
     "prolongation_matrix",
-    "prolong_control",
     "hat_values",
     "hat_derivative_values",
 ]
@@ -100,18 +99,6 @@ def prolongation_matrix(coarse: TimeGrid, fine: TimeGrid) -> sp.csr_matrix:
     return sp.csr_matrix(
         (vals, (rows, cols)), shape=(fine.K + 1, coarse.K + 1)
     )
-
-
-def prolong_control(samples: np.ndarray, coarse: TimeGrid, fine: TimeGrid) -> np.ndarray:
-    """Map samples on the coarse grid to samples on the fine grid.
-
-    Accepts shape (K_u+1,) or (m, K_u+1); returns matching fine-grid shape.
-    """
-    P = prolongation_matrix(coarse, fine)
-    samples = np.asarray(samples, dtype=float)
-    if samples.ndim == 1:
-        return P @ samples
-    return (P @ samples.T).T
 
 
 def hat_values(grid: TimeGrid, t: np.ndarray) -> sp.csr_matrix:

@@ -10,8 +10,12 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from uwdae.errors import StepSingular
+from uwdae.errors import UwdaeError
 from uwdae.system_model import sample_rhs
+
+
+class StepSingular(UwdaeError):
+    """Implicit Euler step matrix (E - dt*A) is singular."""
 
 
 def gauss_on_cells(nodes: np.ndarray, order: int):

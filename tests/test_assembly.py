@@ -10,7 +10,7 @@ from uwdae.bench import RlcParams, StokesLikeParams, make_rlc, make_stokes_like
 from uwdae.detailed import DetailedOperator
 from uwdae.rbm import control_rhs_family
 from uwdae.system_model import theta_constant
-from uwdae.temporal import prolong_control
+from uwdae.temporal import prolongation_matrix
 
 import oracles
 from conftest import make_algebraic, make_scalar_ode
@@ -134,14 +134,26 @@ def test_band_and_product_match_kronecker_oracle(name, K):
 
 
 def test_asymmetric_diagonal_block_is_refused():
-    # the band stores the lower triangle only: an asymmetric diagonal or
-    # kernel block would be factored as a different matrix than the product
-    from uwdae import assembly
-    from uwdae.errors import SingularAssembly
+    # the band stores the upper half of each block row only: an entry below a
+    # diagonal block's diagonal enters the product and not the factor, and the
+    # backward-error gate refuses the solve
+    import dataclasses
 
-    assembly._check_symmetry("diagonal", sp.csr_matrix(np.eye(3)))
-    with pytest.raises(SingularAssembly, match="diagonal block .* not symmetric"):
-        assembly._check_symmetry("diagonal", sp.csr_matrix(np.eye(3) + np.triu(np.ones((3, 3)), 1)))
+    from uwdae.errors import FactorizationFailure
+
+    for sys, K in ((make_rlc(RlcParams()), 64), (make_stokes_like(StokesLikeParams(m_g=4)), 20)):
+        op = DetailedOperator(sys, TimeGrid(T=sys.T, K=K))
+        B, n, factor = op.stiffness, sys.n, op.factor
+        p = np.arange(n) if factor.perm is None else factor.perm
+        scale = max(abs(M).max() for M in B.rows)
+        for i, diagonal in enumerate((0, n, n)):  # column of the diagonal block
+            M = B.rows[i].tolil()
+            M[p[1], diagonal + p[0]] += 1e-6 * scale  # (1, 0) in the band's state order
+            rows = B.rows[:i] + (M.tocsr(),) + B.rows[i + 1 :]
+            op.stiffness = dataclasses.replace(B, rows=rows)
+            assert np.array_equal(op.stiffness.band(factor.perm), B.band(factor.perm))
+            with pytest.raises(FactorizationFailure, match="backward error"):
+                op.solve()
 
 
 def test_rhs_operator_scalar_algebraic_is_mass():
@@ -250,7 +262,7 @@ def test_control_rhs_path_equivalence():
     family = control_rhs_family(op, control_grid=coarse)
     u = np.random.default_rng(5).standard_normal(coarse.K + 1)
     f1 = family.Ftilde[:, : coarse.K + 1] @ u
-    f2 = _control_load(op, prolong_control(u, coarse, grid))
+    f2 = _control_load(op, prolongation_matrix(coarse, grid) @ u)
     assert np.allclose(f1, f2, atol=1e-13)
 
 

@@ -1,16 +1,17 @@
 """Tests for benchmark generators, analytic references and studies."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from uwdae import TimeGrid, kernel_basis, pencil_probe, validate_system
+from uwdae import AffineOperator, TimeGrid, kernel_basis, validate_system
 from uwdae.bench import (
     RlcParams,
     StokesLikeParams,
     UnsupportedSource,
     convergence_study,
     fit_loglog_slope,
-    greedy_study,
     make_rlc,
     make_stokes_like,
     rlc_analytic,
@@ -19,6 +20,7 @@ from uwdae.bench import (
     timereduction_study,
 )
 from uwdae.detailed import evaluate_state, solve_detailed
+from uwdae.system_model import theta_constant
 
 
 def test_rlc_matrices_golden():
@@ -39,9 +41,10 @@ def test_rlc_matrices_golden():
 def test_rlc_structure():
     sys = make_rlc(RlcParams())
     assert validate_system(sys) == []
-    assert kernel_basis(sys.E).d == 2
-    diag = pencil_probe(sys, None, [1.0])
-    assert diag.regular and diag.index_estimate == 1
+    V = kernel_basis(sys.E).V
+    assert V.shape[1] == 2
+    # index 1: V^T A V (d x d, V spans ker E^T = ker E) is nonsingular
+    assert np.linalg.matrix_rank(V.T @ (sys.A_at(None) @ V)) == 2
 
 
 def test_rlc_params_validation():
@@ -95,10 +98,11 @@ def test_stokes_structure():
     n_vel = 2 * 4 * 3
     n_pr = 16 - 1
     assert sys.n == n_vel + n_pr
-    assert kernel_basis(sys.E).d == n_pr
+    V = kernel_basis(sys.E).V
+    assert V.shape[1] == n_pr
     assert validate_system(sys) == []
-    diag = pencil_probe(sys, None, [1.0])
-    assert diag.regular and diag.index_estimate == 2
+    # index > 1: V^T A V is the zero pressure block
+    assert np.linalg.matrix_rank(V.T @ (sys.A_at(None) @ V)) == 0
 
 
 def test_stokes_params_validation():
@@ -159,22 +163,24 @@ def test_convergence_study_scalar_ode():
         assert 0.9 <= est / err <= 1.1
 
 
-def test_greedy_study_dropoff():
-    sys = make_stokes_like(StokesLikeParams(m_g=3))
-    out = greedy_study(sys, [12], n_train=40, seed=0)
-    history = out[12]
-    errs = [h[2] for h in history]
-    assert errs[-1] <= 1e-8 * errs[0]
-    # drop-off no later than Q_f = K_u + 2 for one control and one rhs term
-    assert history[-1][0] <= 12 + 2
-
-
 def test_timereduction_monotone():
     sys = make_stokes_like(StokesLikeParams(m_g=3))
     rows = timereduction_study(sys, 32, [4, 8, 16, 32], n_controls=4, seed=2)
     errs = [e for _, e in rows]
     assert all(a >= b for a, b in zip(errs, errs[1:]))
     assert errs[-1] <= 1e-10  # K_u = K row, solver tolerance
+
+
+def test_timereduction_applies_rhs_coefficients():
+    # the rhs term with theta = 2 and its sampler doubled are one problem
+    sys = make_stokes_like(StokesLikeParams(m_g=3))
+    ((_, f),) = sys.rhs.terms
+    twice = replace(sys, rhs=AffineOperator(terms=((theta_constant(2.0), f),)))
+    doubled = replace(sys, rhs=AffineOperator.constant(lambda t: 2.0 * f(t)))
+    rows = timereduction_study(twice, 32, [4, 8, 16], n_controls=4, seed=2)
+    want = timereduction_study(doubled, 32, [4, 8, 16], n_controls=4, seed=2)
+    assert [k for k, _ in rows] == [k for k, _ in want]
+    assert np.allclose([e for _, e in rows], [e for _, e in want], rtol=1e-10, atol=0)
 
 
 def test_unsupported_source_raises():

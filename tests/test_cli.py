@@ -2,6 +2,9 @@
 
 import csv
 import json
+import re
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,7 +13,7 @@ import scipy.sparse as sp
 from uwdae import AffineOperator, DaeSystem, TimeGrid, kernel_basis
 from uwdae.assembly import vectorize_samples
 from uwdae.bench import RlcParams, StokesLikeParams, make_rlc, make_stokes_like
-from uwdae.cli import EXIT_INPUT, EXIT_NUMERICAL, EXIT_OK, main
+from uwdae.cli import EXIT_INPUT, EXIT_NUMERICAL, EXIT_OK, build_parser, main
 from uwdae.detailed import DetailedOperator, l2_difference, l2_norm
 from uwdae.manifest import load_manifest, write_manifest
 from uwdae.system_model import constant_sampler, sample_rhs_terms, theta_constant
@@ -49,6 +52,18 @@ def test_solve_rlc(rlc_manifest, tmp_path, capsys):
     summary = json.loads((out / "summary.json").read_text())
     assert set(summary) == {"dims", "residual", "estimator", "wall_ms"}
     assert summary["dims"] == 4 * 100 + 2
+
+
+def test_solve_writes_outputs(stokes_manifest, tmp_path):
+    out = tmp_path / "out"
+    assert main(["solve", "--manifest", str(stokes_manifest), "--out", str(out)]) == EXIT_OK
+    _, traj = _read_csv(out / "trajectory.csv")
+    header, outputs = _read_csv(out / "outputs.csv")
+    assert header == ["t", "y_1"]
+    assert np.array_equal(outputs[:, 0], traj[:, 0])
+    C = load_manifest(stokes_manifest)[0].output_matrix
+    want = (C @ traj[:, 1:].T).T
+    assert np.abs(outputs[:, 1:] - want).max() <= 1e-15 * np.abs(want).max()
 
 
 def test_solve_prints_validation_warning(tmp_path, capsys):
@@ -375,3 +390,12 @@ def test_rbsolve_control_needs_control_grid(stokes_model, tmp_path, capsys):
     assert "Traceback" not in err
     mu = ",".join(["0.5"] * header["parameter_dim"])
     assert main(["rbsolve", "--model", str(stokes_model), "--mu", mu]) == EXIT_OK
+
+
+def test_readme_commands_parse():
+    # every `uwdae ...` line of the README's sh blocks is a valid command line
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    blocks = re.findall(r"```sh\n(.*?)```", readme, flags=re.S)
+    lines = [ln for b in blocks for ln in b.splitlines() if ln.startswith("uwdae ")]
+    commands = [build_parser().parse_args(shlex.split(ln, comments=True)[1:]).command for ln in lines]
+    assert {"solve", "convergence", "greedy", "reduce", "rbsolve"} <= set(commands)

@@ -15,11 +15,10 @@ from uwdae.detailed import (
     l2_difference,
     l2_error,
     l2_norm,
-    output_trajectory,
     solve_detailed,
     uses_blocked_sweep,
 )
-from uwdae.errors import FactorizationFailure, GridMismatch, OutOfDomain, StepSingular
+from uwdae.errors import FactorizationFailure, GridMismatch, OutOfDomain
 
 import oracles
 from conftest import make_algebraic, make_scalar_ode, scalar_ode_exact
@@ -436,27 +435,21 @@ def test_euler_singular_step():
         x0=None,
         T=1.0,
     )
-    with pytest.raises(StepSingular):
+    with pytest.raises(oracles.StepSingular):
         oracles.implicit_euler_reference(sys, None, grid)
 
 
 # -- outputs -----------------------------------------------------------------
 
 
-def test_output_zero_matrix():
-    sol = solve_detailed(make_scalar_ode(), None, TimeGrid(T=1.0, K=8))
-    t, y = output_trajectory(sol, np.zeros((1, 1)))
-    assert np.array_equal(y, np.zeros((1, 8)))
-    assert len(t) == 8
-
-
-def test_output_component_trace():
-    sol = solve_detailed(make_scalar_ode(), None, TimeGrid(T=1.0, K=8))
-    t, y = output_trajectory(sol, np.eye(1))
-    assert np.allclose(y, evaluate_state(sol, t))
-
-
 def test_output_dimension_check():
-    sol = solve_detailed(make_scalar_ode(), None, TimeGrid(T=1.0, K=8))
-    with pytest.raises(ValueError):
-        output_trajectory(sol, np.zeros((1, 3)))
+    # outputs C x are formed by `uwdae solve` after validate_system has
+    # checked C against the state dimension
+    from dataclasses import replace
+
+    from uwdae.system_model import validate_system
+
+    sys = make_scalar_ode()
+    assert validate_system(replace(sys, output_matrix=np.eye(1))) == []
+    diags = validate_system(replace(sys, output_matrix=np.zeros((1, 3))))
+    assert diags == ["output matrix has 3 columns, expected 1"]

@@ -45,6 +45,14 @@ def test_family_load_matches_assembly(stokes_op, stokes_family):
     assert np.allclose(stokes_family.load(mu), direct, atol=1e-12)
 
 
+def test_family_load_batch_matches_single(stokes_family):
+    mus = np.random.default_rng(4).uniform(-1.0, 1.0, (7, stokes_family.parameter_dim))
+    F = stokes_family.load(mus)
+    assert F.shape == (stokes_family.Ftilde.shape[0], 7)
+    singles = np.column_stack([stokes_family.load(mu) for mu in mus])
+    assert np.abs(F - singles).max() <= 1e-15 * np.abs(singles).max()
+
+
 def test_greedy_immediate_termination(stokes_op, stokes_family, stokes_training):
     model, history = greedy(
         stokes_op, stokes_family, stokes_training, eps=1e9, n_max=10
@@ -94,11 +102,7 @@ def test_greedy_degenerate_training():
     )
     op = DetailedOperator(sys, TimeGrid(T=1.0, K=8))
     family = control_rhs_family(op)
-    zero = TrainingSet(
-        parameters=np.zeros((4, family.parameter_dim)),
-        rng_seed=0,
-        spec={"kind": "zeros"},
-    )
+    zero = TrainingSet(parameters=np.zeros((4, family.parameter_dim)), rng_seed=0)
     with pytest.raises(DegenerateTraining):
         greedy(op, family, zero, eps=0.0, n_max=3)
 

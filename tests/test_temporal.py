@@ -10,7 +10,6 @@ from uwdae.errors import GridMismatch
 from uwdae.temporal import (
     hat_derivative_values,
     hat_values,
-    prolong_control,
     prolongation_matrix,
 )
 
@@ -98,12 +97,12 @@ def test_sample_disc_source_signs():
 def test_prolong_identity():
     grid = TimeGrid(T=1.0, K=5)
     u = np.arange(6.0)
-    assert np.allclose(prolong_control(u, grid, grid), u, atol=1e-13)
+    assert np.allclose(prolongation_matrix(grid, grid) @ u, u, atol=1e-13)
 
 
 def test_prolong_linear_interp():
     coarse, fine = TimeGrid(T=1.0, K=1), TimeGrid(T=1.0, K=2)
-    assert np.allclose(prolong_control(np.array([0.0, 1.0]), coarse, fine), [0, 0.5, 1])
+    assert np.allclose(prolongation_matrix(coarse, fine) @ np.array([0.0, 1.0]), [0, 0.5, 1])
 
 
 def test_prolong_horizon_mismatch():
@@ -119,7 +118,7 @@ def test_prolongation_preserves_inner_products(seed, Ku):
     rng = np.random.default_rng(seed)
     coarse, fine = TimeGrid(T=1.0, K=Ku), TimeGrid(T=1.0, K=4 * Ku)
     u = rng.standard_normal(Ku + 1)
-    u_fine = prolong_control(u, coarse, fine)
+    u_fine = prolongation_matrix(coarse, fine) @ u
     pts, wts = oracles.gauss_on_cells(fine.nodes, 2)
     Hc = np.array([oracles.hat(k, coarse.K, coarse.dt, pts) for k in range(Ku + 1)])
     Hf = np.array(
