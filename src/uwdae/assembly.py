@@ -105,25 +105,32 @@ class SpaceTimeOperator(RhsOperator):
         n, d, K = self.n, self.V.d, self.grid.K
         p = np.arange(n) if perm is None else perm
 
-        def at(nodes, extra):  # `nodes` node blocks in state order p, then `extra` unknowns
-            return np.append(n * np.arange(nodes)[:, None] + p, nodes * n + np.arange(extra))
+        def at(nodes, extra):  # positions: `nodes` node blocks in state order p, then `extra`
+            order = np.append(n * np.arange(nodes)[:, None] + p, nodes * n + np.arange(extra))
+            return np.argsort(order)
 
         # rows, columns and the column of row 0's diagonal, per block row
         specs = [(at(1, 0), at(2, 0), 0), (at(1, 0), at(3, 0), n)]
         specs.append((at(1, d), at(min(K, 2), d), n * (K > 1)))
-        blocks = [M[r][:, c].tocoo() for M, (r, c, _) in zip(self.rows, specs)]
-        offsets = [M.col - diag - M.row for M, (*_, diag) in zip(blocks, specs)]
+        blocks = [M.tocoo() for M in self.rows]
+        rows = [r[M.row] for M, (r, _, _) in zip(blocks, specs)]
+        offsets = [c[M.col] - diag - row for M, row, (_, c, diag) in zip(blocks, rows, specs)]
         w = max(int(o.max(initial=0)) for o in offsets)
         tiles = [np.zeros((M.shape[0], w + 1)) for M in blocks]
-        for tile, M, o in zip(tiles, blocks, offsets):
-            tile[M.row[o >= 0], o[o >= 0]] = M.data[o >= 0]
+        for tile, M, row, o in zip(tiles, blocks, rows, offsets):
+            tile[row[o >= 0], o[o >= 0]] = M.data[o >= 0]
         return tiles
 
     def ordering(self) -> np.ndarray | None:
         """Reverse Cuthill-McKee order of the state at every node, if it narrows the band."""
         n = self.n
-        blocks = (abs(M[:n, j : j + n]) for M in self.rows for j in range(0, M.shape[1] - n + 1, n))
-        p = reverse_cuthill_mckee(sp.csr_matrix(sum(blocks)), symmetric_mode=True).astype(np.intp)
+        entries = []  # the n x n node blocks of each row's first n rows, overlaid
+        for M in map(sp.coo_matrix, self.rows):
+            on = (M.row < n) & (M.col < M.shape[1] // n * n) & (M.data != 0)
+            entries.append((M.row[on], M.col[on] % n))
+        row, col = map(np.concatenate, zip(*entries))
+        pattern = sp.csr_matrix((np.ones(row.size), (row, col)), shape=(n, n))
+        p = reverse_cuthill_mckee(pattern, symmetric_mode=True).astype(np.intp)
         return p if self._tiles(p)[0].shape[1] < self._tiles(None)[0].shape[1] else None
 
     def band(self, perm: np.ndarray | None = None) -> np.ndarray:
@@ -171,16 +178,29 @@ def assemble_stiffness(
     diagonal_block = lambda k: sum(T[k, k] * S for T, S in symmetric).tocsr()
     first, diagonal = diagonal_block(0), diagonal_block(K - 1)
     lower = block(1, 0) if K > 1 else sp.csr_matrix((n, n))
-    coupling = sp.csr_matrix(sum(T[K - 1, K] * sv for T, sv in zip(temporal, SV)).reshape(n, V.d))
+    coupling = sum(T[K - 1, K] * sv for T, sv in zip(temporal, SV)).reshape(n, V.d)
     kernel = sum(T[K, K] * np.einsum("id,ie->de", V.V, S @ V.V) for T, S in symmetric)
     kernel = 0.5 * (kernel + kernel.T)
     # the last node with the kernel unknowns: a symmetric (n+d) x (n+d) block
-    kernel_rows = sp.hstack([coupling.T, sp.csr_matrix(kernel)])
-    square = sp.vstack([sp.hstack([diagonal, coupling]), kernel_rows]).tocsr()
-    below = sp.vstack([lower, sp.csr_matrix((V.d, n))])
-    last = sp.hstack([below, square]) if K > 1 else square
-    rows = (sp.hstack([first, lower.T]), sp.hstack([lower, diagonal, lower.T]), last)
-    return SpaceTimeOperator(grid=grid, n=n, V=V, grams=grams, rows=tuple(M.tocsr() for M in rows))
+    # at column m, right of the coupling to node K-2
+    m, d = n * (K > 1), V.d
+    square = [(0, m, diagonal), (0, m + n, coupling), (n, m, coupling.T), (n, m + n, kernel)]
+    rows = (
+        _join((n, 2 * n), [(0, 0, first), (0, n, lower.T)]),
+        _join((n, 3 * n), [(0, 0, lower), (0, n, diagonal), (0, 2 * n, lower.T)]),
+        _join((n + d, m + n + d), [(0, 0, lower)] * (K > 1) + square),
+    )
+    return SpaceTimeOperator(grid=grid, n=n, V=V, grams=grams, rows=rows)
+
+
+def _join(shape, blocks) -> sp.csr_matrix:
+    """The CSR matrix of ``shape`` with sparse or dense blocks at (top row,
+    left column), listed in column order within each row."""
+    coo = [(top, left, sp.coo_matrix(M)) for top, left, M in blocks]
+    data = np.concatenate([M.data for _, _, M in coo])
+    row = np.concatenate([M.row + top for top, _, M in coo])
+    col = np.concatenate([M.col + left for _, left, M in coo])
+    return sp.csr_matrix((data, (row, col)), shape=shape)
 
 
 def assemble_rhs_operator(

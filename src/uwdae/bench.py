@@ -11,17 +11,16 @@ from .errors import UwdaeError
 from .detailed import (
     DetailedOperator,
     estimator_detailed,
-    gauss_points,
     l2_difference,
     l2_error,
     l2_norm,
+    l2_quadrature,
 )
 from .rbm import control_rhs_family
 from .system_model import (
     AffineOperator,
     DaeSystem,
     constant_sampler,
-    homogenize,
     theta_constant,
 )
 from .temporal import TimeGrid
@@ -126,8 +125,9 @@ def rlc_analytic(p: RlcParams, t, source: str = "smooth") -> np.ndarray:
         # distinct roots: i_h = c1 e^{s1 t} + c2 e^{s2 t}
         M = np.array([[1.0, 1.0], [s1, s2]], dtype=complex)
         c1, c2 = np.linalg.solve(M, np.array([-a, -omega * b], dtype=complex))
-        i_h = c1 * np.exp(s1 * t) + c2 * np.exp(s2 * t)
-        di_h = c1 * s1 * np.exp(s1 * t) + c2 * s2 * np.exp(s2 * t)
+        e1, e2 = np.exp(s1 * t), np.exp(s2 * t)
+        i_h = c1 * e1 + c2 * e2
+        di_h = c1 * s1 * e1 + c2 * s2 * e2
     else:
         # repeated root: i_h = (c1 + c2 t) e^{s t}
         s = s1
@@ -136,11 +136,12 @@ def rlc_analytic(p: RlcParams, t, source: str = "smooth") -> np.ndarray:
         i_h = (c1 + c2 * t) * np.exp(s * t)
         di_h = (c2 + s * (c1 + c2 * t)) * np.exp(s * t)
 
-    i = a * np.cos(omega * t) + b * np.sin(omega * t) + i_h.real
-    di = -a * omega * np.sin(omega * t) + b * omega * np.cos(omega * t) + di_h.real
+    sin, cos = np.sin(omega * t), np.cos(omega * t)
+    i = a * cos + b * sin + i_h.real
+    di = -a * omega * sin + b * omega * cos + di_h.real
     v_l = p.L * di
     v_r = p.R * i
-    v_c = np.sin(omega * t) - v_l - v_r
+    v_c = sin - v_l - v_r
     return np.vstack([i, v_c, v_l, v_r])
 
 
@@ -235,37 +236,22 @@ def make_stokes_like(p: StokesLikeParams) -> DaeSystem:
     C = np.zeros((1, n))
     C[0, p.output_cell % n_vel] = 1.0
 
-    # smooth nonzero initial velocity, homogenized into one rhs term
+    # smooth nonzero initial velocity, homogenized with its constant extension:
+    # the load A x0 replaces it
     x0 = np.zeros(n)
     for i in range(m - 1):
         for j in range(m):
             x0[uidx(i, j)] = np.sin(np.pi * (i + 1) * h) * np.sin(np.pi * (j + 0.5) * h)
 
-    zero_rhs = constant_sampler(np.zeros(n))
-    sys = DaeSystem(
+    return DaeSystem(
         n=n,
         E=E,
         A=AffineOperator.constant(A),
-        rhs=AffineOperator(terms=((theta_constant(1.0), zero_rhs),)),
-        x0=AffineOperator(terms=((theta_constant(1.0), x0),)),
+        rhs=AffineOperator(terms=((theta_constant(1.0), constant_sampler(A @ x0)),)),
+        x0=None,
         T=p.T,
         control_matrix=B,
         output_matrix=C,
-    )
-    sys = homogenize(sys)
-    # drop the zero placeholder rhs term; keep only the homogenization term
-    terms = tuple(
-        t for t in sys.rhs.terms if t[1] is not zero_rhs
-    )
-    return DaeSystem(
-        n=sys.n,
-        E=sys.E,
-        A=sys.A,
-        rhs=AffineOperator(terms=terms),
-        x0=None,
-        T=sys.T,
-        control_matrix=sys.control_matrix,
-        output_matrix=sys.output_matrix,
     )
 
 
@@ -283,20 +269,12 @@ def convergence_study(sys: DaeSystem, reference, K_list, mu=None, refinement: in
     for K in K_list:
         grid = TimeGrid(T=sys.T, K=int(K))
         sol = DetailedOperator(sys, grid, mu=mu).solve(mu)
-        ref_norm = _ref_norm(reference, grid)
+        ref_norm = l2_quadrature(reference, grid, 6)
         err = l2_error(sol, reference, quad_order=6) / ref_norm
         est = estimator_detailed(sol, refinement=refinement) / ref_norm
         rows.append((int(K), err, est))
     slope = fit_loglog_slope([r[0] for r in rows], [r[1] for r in rows])
     return rows, slope
-
-
-def _ref_norm(reference, grid: TimeGrid) -> float:
-    x, w = gauss_points(6)
-    pts = (grid.nodes[:-1, None] + grid.dt * x[None, :]).ravel()
-    wts = np.tile(grid.dt * w, grid.K)
-    vals = np.atleast_2d(np.asarray(reference(pts), dtype=float))
-    return float(np.sqrt(np.sum(wts * np.sum(vals**2, axis=0))))
 
 
 def fit_loglog_slope(xs, ys) -> float:

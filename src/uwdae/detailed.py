@@ -37,7 +37,7 @@ __all__ = [
     "l2_error",
     "l2_difference",
     "estimator_detailed",
-    "gauss_points",
+    "l2_quadrature",
 ]
 
 # Normwise backward-error gate of every detailed solve, in max norms.  A
@@ -63,10 +63,14 @@ def uses_blocked_sweep(columns: int, bandwidth: int) -> bool:
     return columns >= BLOCKED_MIN_COLUMNS and bandwidth >= BLOCKED_MIN_BANDWIDTH
 
 
-def gauss_points(order: int):
-    """Gauss-Legendre nodes/weights on [0, 1]."""
+def l2_quadrature(f, grid: TimeGrid, order: int) -> float:
+    """Composite Gauss-Legendre quadrature of ||f||, f mapping times (k,) to
+    values (n, k), over the grid cells with ``order`` points per cell."""
     x, w = np.polynomial.legendre.leggauss(order)
-    return 0.5 * (x + 1.0), 0.5 * w
+    pts = (grid.nodes[:-1, None] + grid.dt * (0.5 * (x + 1.0))[None, :]).ravel()
+    wts = np.tile(grid.dt * (0.5 * w), grid.K)
+    vals = np.atleast_2d(np.asarray(f(pts), dtype=float))
+    return float(np.sqrt(np.sum(wts * np.sum(vals**2, axis=0))))
 
 
 class BandedCholesky:
@@ -215,9 +219,7 @@ class DetailedOperator:
         mu = self._parameter(mu)
         coeffs = self.factor.solve(load)
         self.factor.check(self.stiffness @ coeffs - load, coeffs, load)
-        return DetailedSolution(
-            coeffs=coeffs, grid=self.grid, V=self.V, mu=mu, sys=self.sys, op=self
-        )
+        return DetailedSolution(coeffs=coeffs, mu=mu, op=self)
 
     def solve(self, mu=None) -> "DetailedSolution":
         mu = self._parameter(mu)
@@ -226,14 +228,16 @@ class DetailedOperator:
 
 @dataclass(frozen=True)
 class DetailedSolution:
-    """Coefficients of the ultraweak approximation in the implied trial basis."""
+    """Coefficients of the ultraweak approximation in the implied trial basis;
+    the grid, kernel basis and system are those of the operator."""
 
     coeffs: np.ndarray
-    grid: TimeGrid
-    V: KernelBasis
     mu: np.ndarray
-    sys: DaeSystem
     op: DetailedOperator
+
+    grid = property(lambda self: self.op.grid)
+    V = property(lambda self: self.op.V)
+    sys = property(lambda self: self.op.sys)
 
     @property
     def test_node_values(self) -> np.ndarray:
@@ -293,12 +297,8 @@ def l2_error(sol: DetailedSolution, reference, quad_order: int = 4) -> float:
 
     ``reference`` maps times (k,) to values (n, k).
     """
-    x, w = gauss_points(quad_order)
-    dt, K = sol.grid.dt, sol.grid.K
-    pts = (sol.grid.nodes[:-1, None] + dt * x[None, :]).ravel()
-    wts = np.tile(dt * w, K)
-    diff = evaluate_state(sol, pts) - np.atleast_2d(np.asarray(reference(pts), float))
-    return float(np.sqrt(np.sum(wts * np.sum(diff**2, axis=0))))
+    diff = lambda t: evaluate_state(sol, t) - np.atleast_2d(np.asarray(reference(t), float))
+    return l2_quadrature(diff, sol.grid, quad_order)
 
 
 def l2_difference(fine: DetailedSolution, coarse: DetailedSolution) -> float:

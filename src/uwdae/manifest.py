@@ -117,6 +117,8 @@ def load_manifest(path) -> tuple[DaeSystem, dict]:
         )
     except KeyError as exc:
         raise ManifestError(f"{path}: missing field {exc}") from exc
+    except (TypeError, ValueError) as exc:  # malformed fields, thetas among them
+        raise ManifestError(f"{path}: {exc}") from exc
     sys = DaeSystem(
         n=n,
         E=E,

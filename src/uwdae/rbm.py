@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -22,8 +21,8 @@ from scipy.linalg.blas import dgemm
 from .errors import DegenerateTraining
 from .detailed import DetailedOperator, DetailedSolution
 from .system_model import (
+    CompiledThetas,
     ThetaExpression,
-    ThetaTable,
     sample_rhs_terms,
     theta_component,
     theta_from_dict,
@@ -68,26 +67,22 @@ class TrainingSet:
         return self.parameters.shape[0]
 
 
-class _Thetas:
-    @cached_property
-    def theta_vector(self) -> ThetaTable:
-        """theta(mu) of ``thetas``, (Q_f,) for a parameter (P,) and (M, Q_f)
-        for a batch (M, P): a table compiled on first use."""
-        return ThetaTable.compile(self.thetas)
-
-
 @dataclass(frozen=True)
-class AffineRhsFamily(_Thetas):
+class AffineRhsFamily(CompiledThetas):
     """Affine load decomposition f^N(mu) = sum_q theta_q(mu) * Ftilde[:, q]."""
 
     Ftilde: np.ndarray  # (dim, Q_f)
     thetas: tuple[ThetaExpression, ...]
-    parameter_dim: int
     control_grid: TimeGrid | None = None  # nodes of the control samples, if any
 
     @property
     def Qf(self) -> int:
         return self.Ftilde.shape[1]
+
+    @property
+    def parameter_dim(self) -> int:
+        """Components the thetas read, at least one."""
+        return max(self.theta_vector.dim, 1)
 
     def load(self, mu) -> np.ndarray:
         """f^N(mu), (dim,) for a parameter (P,) and (dim, M) for a batch (M, P)."""
@@ -122,12 +117,10 @@ def control_rhs_family(
     P1 = len(thetas)
     terms.append(np.stack([v.T for v in sample_rhs_terms(sys.rhs, grid.nodes)], axis=-1))
     thetas.extend(theta_shift(theta, P1) for theta in sys.rhs.thetas)
-    p2 = max(theta.min_parameter_dim() for theta in sys.rhs.thetas)
     samples = np.concatenate(terms, axis=-1)
     return AffineRhsFamily(
         Ftilde=op.stiffness.load(samples.reshape(-1, len(thetas))),
         thetas=tuple(thetas),
-        parameter_dim=max(P1 + p2, 1),
         control_grid=control_grid,
     )
 
@@ -153,7 +146,7 @@ class ReducedBasis:
 
 
 @dataclass(frozen=True)
-class ReducedModel(_Thetas):
+class ReducedModel(CompiledThetas):
     """Online data of a reduced basis.
 
     The basis is orthonormal in the test-space topology, so the reduced
@@ -335,14 +328,7 @@ def lift(model: ReducedModel, x_N: np.ndarray) -> np.ndarray:
 
 
 def lift_solution(model: ReducedModel, x_N, op: DetailedOperator, mu) -> DetailedSolution:
-    return DetailedSolution(
-        coeffs=lift(model, x_N),
-        grid=op.grid,
-        V=op.V,
-        mu=np.atleast_1d(np.asarray(mu, dtype=float)),
-        sys=op.sys,
-        op=op,
-    )
+    return DetailedSolution(lift(model, x_N), np.atleast_1d(np.asarray(mu, dtype=float)), op)
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,10 @@ time-sample sources.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+import math
+import numbers
+from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
@@ -52,136 +55,99 @@ DEFAULT_RANK_TOL = 1e-10
 
 @dataclass(frozen=True)
 class ThetaExpression:
-    """Scalar coefficient function of the parameter vector.
+    """Scalar coefficient function of the parameter vector, a plain record:
 
-    Closed grammar so that system manifests stay serializable:
+        theta(mu) = coeff * prod_i mu[i]**exponents[i] * func(mu)
 
-    * ``constant``:  mu -> value
-    * ``component``: mu -> mu[index]
-    * ``monomial``:  mu -> coeff * prod_i mu[i]**exponents[i]
-    * ``callable``:  arbitrary function, escape hatch, not serializable
-
-    Families compile to one ``ThetaTable``, a single NumPy expression;
-    ``callable`` stays one Python call per parameter there, the slow path.
+    with the factor func(mu) only when ``func`` is set.  A theta reads as
+    many components of mu as it lists exponents.  Without ``func`` it is
+    serializable (``theta_to_dict``); ``func`` is the escape hatch, one
+    Python call per parameter.  The constructors check their input, and
+    ``ThetaTable`` is the one evaluator.
     """
 
-    kind: str
-    value: float = 0.0
-    index: int = 0
     coeff: float = 1.0
     exponents: tuple[int, ...] = ()
-    func: Callable[[np.ndarray], float] | None = field(default=None, compare=False)
+    func: Callable[[np.ndarray], float] | None = None
 
-    def __call__(self, mu) -> float:
-        mu = np.atleast_1d(np.asarray(mu, dtype=float))
-        if self.kind == "constant":
-            return self.value
-        if self.kind == "component":
-            if self.index >= mu.size:
-                raise ParameterDimensionMismatch(
-                    f"theta references component {self.index}, parameter has "
-                    f"dimension {mu.size}"
-                )
-            return float(mu[self.index])
-        if self.kind == "monomial":
-            if len(self.exponents) > mu.size:
-                raise ParameterDimensionMismatch(
-                    f"monomial uses {len(self.exponents)} components, parameter "
-                    f"has dimension {mu.size}"
-                )
-            out = self.coeff
-            for i, e in enumerate(self.exponents):
-                if e:
-                    out *= float(mu[i]) ** e
-            return out
-        if self.kind == "callable":
-            return float(self.func(mu))
-        raise ValueError(f"unknown theta kind {self.kind!r}")
 
-    @property
-    def serializable(self) -> bool:
-        return self.kind != "callable"
+def _finite(value, what: str) -> float:
+    try:
+        if isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value):
+            return float(value)
+    except OverflowError:  # an integer beyond the float range
+        pass
+    raise ValueError(f"{what} must be a finite number, got {value!r}")
 
-    def min_parameter_dim(self) -> int:
-        if self.kind == "component":
-            return self.index + 1
-        if self.kind == "monomial":
-            nz = [i + 1 for i, e in enumerate(self.exponents) if e]
-            return max(nz) if nz else 0
-        return 0
+
+def _count(value, what: str) -> int:
+    if isinstance(value, numbers.Integral) and not isinstance(value, bool) and value >= 0:
+        return int(value)
+    raise ValueError(f"{what} must be a nonnegative integer, got {value!r}")
 
 
 def theta_constant(c: float) -> ThetaExpression:
-    return ThetaExpression(kind="constant", value=float(c))
+    return ThetaExpression(coeff=_finite(c, "theta value"))
 
 
 def theta_component(j: int) -> ThetaExpression:
-    if j < 0:
-        raise ValueError("component index must be nonnegative")
-    return ThetaExpression(kind="component", index=int(j))
+    return ThetaExpression(exponents=(0,) * _count(j, "component index") + (1,))
 
 
 def theta_monomial(coeff: float, exponents: Sequence[int]) -> ThetaExpression:
-    return ThetaExpression(
-        kind="monomial", coeff=float(coeff), exponents=tuple(int(e) for e in exponents)
-    )
+    if not isinstance(exponents, (list, tuple, np.ndarray)):
+        raise ValueError(f"monomial exponents must be a list, got {exponents!r}")
+    exponents = tuple(_count(e, "monomial exponent") for e in exponents)
+    return ThetaExpression(_finite(coeff, "monomial coefficient"), exponents)
 
 
 def theta_callable(func: Callable[[np.ndarray], float]) -> ThetaExpression:
-    return ThetaExpression(kind="callable", func=func)
+    return ThetaExpression(func=func)
 
 
 def theta_to_dict(t: ThetaExpression) -> dict:
-    if t.kind == "constant":
-        return {"type": "constant", "value": t.value}
-    if t.kind == "component":
-        return {"type": "component", "index": t.index}
-    if t.kind == "monomial":
-        return {"type": "monomial", "coeff": t.coeff, "exponents": list(t.exponents)}
-    raise ValueError(f"theta kind {t.kind!r} is not serializable")
+    """JSON form: ``constant`` without exponents, ``component`` for coefficient 1
+    on one component, ``monomial`` otherwise."""
+    if t.func is not None:
+        raise ValueError("a theta with a Python function is not serializable")
+    e = t.exponents
+    if not e:
+        return {"type": "constant", "value": t.coeff}
+    if t.coeff == 1.0 and e[-1] == 1 and not any(e[:-1]):
+        return {"type": "component", "index": len(e) - 1}
+    return {"type": "monomial", "coeff": t.coeff, "exponents": list(e)}
 
 
 def theta_from_dict(d: dict) -> ThetaExpression:
-    kind = d.get("type")
-    if kind == "constant":
-        return theta_constant(d["value"])
-    if kind == "component":
-        return theta_component(d["index"])
-    if kind == "monomial":
-        return theta_monomial(d["coeff"], d["exponents"])
-    raise ValueError(f"unknown theta type {kind!r}")
+    """Inverse of ``theta_to_dict``; a malformed entry raises ValueError."""
+    kind = d.get("type") if isinstance(d, dict) else None
+    try:
+        if kind == "constant":
+            return theta_constant(d["value"])
+        if kind == "component":
+            return theta_component(d["index"])
+        if kind == "monomial":
+            return theta_monomial(d["coeff"], d["exponents"])
+    except KeyError as exc:
+        raise ValueError(f"{kind} theta has no field {exc}") from exc
+    raise ValueError(f"not a theta: {d!r}")
 
 
 def theta_shift(t: ThetaExpression, offset: int) -> ThetaExpression:
     """Re-index a theta to act on a parameter subvector starting at offset."""
-    if offset == 0 or t.kind == "constant":
+    if offset == 0:
         return t
-    if t.kind == "component":
-        return theta_component(t.index + offset)
-    if t.kind == "monomial":
-        return theta_monomial(t.coeff, (0,) * offset + t.exponents)
-    return theta_callable(lambda mu, _t=t: _t(np.asarray(mu)[offset:]))
-
-
-def _as_monomial(t: ThetaExpression) -> ThetaExpression | None:
-    if t.kind == "constant":
-        return theta_monomial(t.value, ())
-    if t.kind == "component":
-        return theta_monomial(1.0, (0,) * t.index + (1,))
-    if t.kind == "monomial":
-        return t
-    return None
+    func = None if t.func is None else (lambda mu, f=t.func: f(np.asarray(mu)[offset:]))
+    return ThetaExpression(t.coeff, (0,) * offset + t.exponents, func)
 
 
 def theta_product(a: ThetaExpression, b: ThetaExpression) -> ThetaExpression:
-    """Pointwise product; stays in the serializable grammar when possible."""
-    ma, mb = _as_monomial(a), _as_monomial(b)
-    if ma is not None and mb is not None:
-        n = max(len(ma.exponents), len(mb.exponents))
-        ea = ma.exponents + (0,) * (n - len(ma.exponents))
-        eb = mb.exponents + (0,) * (n - len(mb.exponents))
-        return theta_monomial(ma.coeff * mb.coeff, tuple(x + y for x, y in zip(ea, eb)))
-    return theta_callable(lambda mu, _a=a, _b=b: _a(mu) * _b(mu))
+    """Pointwise product: coefficients and functions multiply, exponents add."""
+    n = max(len(a.exponents), len(b.exponents))
+    ea, eb = (t.exponents + (0,) * (n - len(t.exponents)) for t in (a, b))
+    fa, fb = a.func, b.func
+    func = fa if fb is None else fb if fa is None else (lambda mu: fa(mu) * fb(mu))
+    return ThetaExpression(a.coeff * b.coeff, tuple(x + y for x, y in zip(ea, eb)), func)
 
 
 @dataclass(frozen=True)
@@ -190,25 +156,24 @@ class ThetaTable:
 
     ext is mu's first ``dim`` components followed by 1.0: an exponent e
     repeats its component's index e times, and padding points at the 1.0.
-    ``calls`` are the callable thetas, evaluated per parameter in their columns.
+    ``calls`` are the (q, func) of the thetas with a function, multiplied
+    into their columns one Python call per parameter.
     """
 
     coeff: np.ndarray  # (Q,)
     idx: np.ndarray  # (Q, D)
     dim: int  # components a theta reads; a shorter parameter is refused
-    calls: tuple[tuple[int, ThetaExpression], ...]
+    calls: tuple[tuple[int, Callable[[np.ndarray], float]], ...]
 
     @staticmethod
     def compile(thetas: Sequence[ThetaExpression]) -> "ThetaTable":
-        monos = [_as_monomial(t) for t in thetas]
-        exponents = [() if m is None else m.exponents for m in monos]
-        dim = max(map(len, exponents), default=0)
-        factors = [np.repeat(np.arange(len(e)), e) for e in exponents]
+        dim = max((len(t.exponents) for t in thetas), default=0)
+        factors = [np.repeat(np.arange(len(t.exponents)), t.exponents) for t in thetas]
         idx = np.full((len(thetas), max(map(len, factors), default=0)), dim, dtype=np.intp)
         for row, f in zip(idx, factors):
             row[: len(f)] = f
-        coeff = np.array([1.0 if m is None else m.coeff for m in monos])
-        calls = tuple((q, t) for q, (t, m) in enumerate(zip(thetas, monos)) if m is None)
+        coeff = np.array([t.coeff for t in thetas], dtype=float)
+        calls = tuple((q, t.func) for q, t in enumerate(thetas) if t.func is not None)
         return ThetaTable(coeff=coeff, idx=idx, dim=dim, calls=calls)
 
     def __call__(self, mu) -> np.ndarray:
@@ -219,9 +184,19 @@ class ThetaTable:
             raise ParameterDimensionMismatch(msg)
         ext = np.concatenate([mu[..., : self.dim], np.ones(mu.shape[:-1] + (1,))], axis=-1)
         out = self.coeff * ext[..., self.idx].prod(axis=-1)
-        for q, t in self.calls:
-            out[..., q] = np.apply_along_axis(t, -1, mu)
+        for q, f in self.calls:
+            out[..., q] *= np.apply_along_axis(f, -1, mu)
         return out
+
+
+class CompiledThetas:
+    """Mixin for a class with ``thetas``: the ``ThetaTable`` compiled on first use."""
+
+    @cached_property
+    def theta_vector(self) -> ThetaTable:
+        """theta(mu) of ``thetas``, (Q,) for a parameter (P,) and (M, Q) for a
+        batch (M, P)."""
+        return ThetaTable.compile(self.thetas)
 
 
 # ---------------------------------------------------------------------------
@@ -232,7 +207,7 @@ TimeSampler = Callable[[np.ndarray], np.ndarray]
 
 
 @dataclass(frozen=True)
-class AffineOperator:
+class AffineOperator(CompiledThetas):
     """Affine decomposition sum_q theta_q(mu) * M_q.
 
     Payloads are sparse/dense matrices, vectors, or (for right-hand sides)
@@ -261,8 +236,7 @@ class AffineOperator:
 def affine_eval(op: AffineOperator, mu) -> np.ndarray | sp.spmatrix:
     """Assemble sum_q theta_q(mu) * M_q for matrix/vector payloads."""
     out = None
-    for theta, m in op.terms:
-        c = theta(mu)
+    for c, (_, m) in zip(op.theta_vector(mu), op.terms):
         contrib = m * c if sp.issparse(m) else c * np.asarray(m, dtype=float)
         out = contrib if out is None else out + contrib
     return out
@@ -280,7 +254,7 @@ def sample_rhs(op: AffineOperator, mu, times: np.ndarray) -> np.ndarray:
     Returns an (n, len(times)) array of sum_q theta_q(mu) f_q(t_k).
     """
     samples = sample_rhs_terms(op, times)
-    return sum(theta(mu) * vals for theta, vals in zip(op.thetas, samples))
+    return sum(c * vals for c, vals in zip(op.theta_vector(mu), samples))
 
 
 def constant_sampler(vec: np.ndarray) -> TimeSampler:
@@ -321,7 +295,7 @@ class DaeSystem:
 
     @property
     def parameter_independent_A(self) -> bool:
-        return all(t.kind == "constant" for t in self.A.thetas)
+        return all(t.func is None and not any(t.exponents) for t in self.A.thetas)
 
 
 @dataclass(frozen=True)
@@ -330,7 +304,6 @@ class KernelBasis:
 
     V: np.ndarray
     d: int
-    tol: float
 
 
 # ---------------------------------------------------------------------------
@@ -385,12 +358,7 @@ def _consistency_warning(sys: DaeSystem) -> list[str]:
     if sys.x0 is None:
         return []
     try:
-        pdim = max(
-            [t.min_parameter_dim() for t in sys.A.thetas]
-            + [t.min_parameter_dim() for t in sys.x0.thetas]
-            + [t.min_parameter_dim() for t in sys.rhs.thetas]
-        )
-        mu = np.zeros(max(pdim, 1))
+        mu = np.zeros(max(op.theta_vector.dim for op in (sys.A, sys.x0, sys.rhs)) or 1)
         x0 = np.asarray(affine_eval(sys.x0, mu)).ravel()
         if x0.shape != (sys.n,) or not np.any(x0):
             return []
@@ -425,7 +393,7 @@ def kernel_basis(E: sp.spmatrix, tol: float = DEFAULT_RANK_TOL) -> KernelBasis:
     rank = int(np.sum(s > tol * smax)) if smax > 0 else 0
     d = n - rank
     V = Wt[rank:].T.copy() if d > 0 else np.zeros((n, 0))
-    return KernelBasis(V=V, d=d, tol=tol)
+    return KernelBasis(V=V, d=d)
 
 
 Extension = tuple[Callable[[np.ndarray], np.ndarray], Callable[[np.ndarray], np.ndarray]]

@@ -10,12 +10,26 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from uwdae.errors import UwdaeError
+from uwdae.errors import ParameterDimensionMismatch, UwdaeError
 from uwdae.system_model import sample_rhs
 
 
 class StepSingular(UwdaeError):
     """Implicit Euler step matrix (E - dt*A) is singular."""
+
+
+def theta_value(t, mu) -> float:
+    """theta(mu) of one ThetaExpression, term by term with true powers."""
+    mu = np.atleast_1d(np.asarray(mu, dtype=float))
+    if len(t.exponents) > mu.size:
+        raise ParameterDimensionMismatch(
+            f"theta uses {len(t.exponents)} components, parameter has dimension {mu.size}"
+        )
+    out = t.coeff
+    for i, e in enumerate(t.exponents):
+        if e:
+            out *= float(mu[i]) ** e
+    return out if t.func is None else out * float(t.func(mu))
 
 
 def gauss_on_cells(nodes: np.ndarray, order: int):

@@ -298,6 +298,46 @@ def test_greedy_rejects_parameter_dependent_A(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+MALFORMED_THETAS = [
+    ({"type": "monomial", "coeff": 1, "exponents": [1.5]}, "must be a nonnegative integer, got 1.5"),
+    ({"type": "monomial", "coeff": 1, "exponents": [-1]}, "must be a nonnegative integer, got -1"),
+    ({"type": "component", "index": "x"}, "component index must be a nonnegative integer"),
+    ([{"type": "constant", "value": 1.0}], "not a theta"),
+    ({"type": "constant"}, "constant theta has no field 'value'"),
+]
+
+
+@pytest.mark.parametrize("command", ["solve", "greedy"])
+@pytest.mark.parametrize("theta, message", MALFORMED_THETAS)
+def test_malformed_manifest_theta_is_input_error(
+    rlc_manifest, tmp_path, capsys, command, theta, message
+):
+    # every command refuses the same thetas, with exit 2 and no traceback
+    path = rlc_manifest / "manifest.json"
+    doc = json.loads(path.read_text())
+    doc["rhs"][0]["theta"] = theta
+    path.write_text(json.dumps(doc))
+    args = [command, "--manifest", str(rlc_manifest), "--K", "16", "--out", str(tmp_path / "out")]
+    assert main(args + (["--mu", "2"] if command == "solve" else [])) == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert err.startswith("input error: ") and message in err
+    assert "manifest.json" in err
+
+
+@pytest.mark.parametrize("theta, message", MALFORMED_THETAS)
+def test_malformed_model_theta_is_input_error(rlc_manifest, tmp_path, capsys, theta, message):
+    out = tmp_path / "greedy"
+    args = ["greedy", "--manifest", str(rlc_manifest), "--K", "16", "--out", str(out)]
+    assert main(args) == EXIT_OK
+    path = out / "model" / "header.json"
+    hdr = json.loads(path.read_text())
+    hdr["thetas"][0] = theta
+    path.write_text(json.dumps(hdr))
+    assert main(["rbsolve", "--model", str(out / "model"), "--mu", "1"]) == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert err.startswith("input error: ") and message in err
+
+
 def test_rbsolve_dimension_mismatch(tmp_path, capsys):
     out = tmp_path / "greedy"
     main(
@@ -373,6 +413,14 @@ def test_rbsolve_control_reads_time_column(stokes_model, tmp_path):
     mu = ",".join(repr(float(v)) for v in u)
     assert main(["rbsolve", "--model", str(stokes_model), "--mu", mu, "--out", str(rb)]) == EXIT_OK
     assert np.allclose(np.load(rb / "x_N.npy"), x_unit, rtol=1e-12, atol=0)
+
+
+def test_model_header_thetas_keep_their_json(stokes_model):
+    # one component per control node, then the homogenized initial value:
+    # a coefficient 1 shifted past the controls, a monomial of zero exponents
+    thetas = json.loads((stokes_model / "header.json").read_text())["thetas"]
+    assert thetas[:9] == [{"type": "component", "index": k} for k in range(9)]
+    assert thetas[9:] == [{"type": "monomial", "coeff": 1.0, "exponents": [0] * 9}]
 
 
 def test_rbsolve_control_needs_control_grid(stokes_model, tmp_path, capsys):

@@ -73,6 +73,20 @@ def test_invalid_json(tmp_path):
         load_manifest(d)
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [("A", [["A0.mtx"]]), ("n", None), ("T", "long")],
+)
+def test_malformed_field(tmp_path, field, value):
+    sys = make_rlc(RlcParams())
+    write_manifest(sys, tmp_path / "rlc")
+    doc = json.loads((tmp_path / "rlc" / "manifest.json").read_text())
+    doc[field] = value
+    (tmp_path / "rlc" / "manifest.json").write_text(json.dumps(doc))
+    with pytest.raises(ManifestError, match="manifest.json"):
+        load_manifest(tmp_path / "rlc")
+
+
 def test_control_csv(tmp_path):
     path = tmp_path / "u.csv"
     path.write_text("t,u_1\n0.0,1.5\n0.5,2.5\n1.0,3.5\n")

@@ -24,6 +24,7 @@ from uwdae.errors import (
     ParameterDimensionMismatch,
 )
 from uwdae.system_model import (
+    ThetaExpression,
     ThetaTable,
     constant_sampler,
     sample_rhs,
@@ -37,6 +38,7 @@ from uwdae.system_model import (
     theta_to_dict,
 )
 from conftest import make_scalar_ode
+import oracles
 
 from uwdae.bench import StokesLikeParams, make_rlc, make_stokes_like, RlcParams
 
@@ -44,36 +46,65 @@ from uwdae.bench import StokesLikeParams, make_rlc, make_stokes_like, RlcParams
 # -- theta expressions -------------------------------------------------------
 
 
+def _theta(t, mu) -> float:
+    """theta(mu) of one expression through the table, the package's evaluator."""
+    return float(ThetaTable.compile((t,))(mu)[0])
+
+
 def test_theta_evaluation():
     mu = np.array([2.0, 3.0])
-    assert theta_constant(5.0)(mu) == 5.0
-    assert theta_component(1)(mu) == 3.0
-    assert theta_monomial(2.0, (1, 2))(mu) == 2.0 * 2.0 * 9.0
+    assert _theta(theta_constant(5.0), mu) == 5.0
+    assert _theta(theta_component(1), mu) == 3.0
+    assert _theta(theta_monomial(2.0, (1, 2)), mu) == 2.0 * 2.0 * 9.0
+    assert _theta(theta_callable(lambda m: m[0] - m[1]), mu) == -1.0
+    # the record: a component is coefficient 1 on one exponent
+    assert theta_component(1) == ThetaExpression(1.0, (0, 1))
+    assert theta_monomial(5.0, ()) == theta_constant(5.0)
 
 
 def test_theta_component_out_of_range():
     with pytest.raises(ParameterDimensionMismatch):
-        theta_component(3)(np.array([1.0]))
+        _theta(theta_component(3), np.array([1.0]))
+    with pytest.raises(ParameterDimensionMismatch):
+        oracles.theta_value(theta_component(3), np.array([1.0]))
 
 
 def test_theta_serialization_roundtrip():
+    mu = np.arange(1.0, 6.0)
     for t in (theta_constant(2.5), theta_component(4), theta_monomial(1.5, (0, 2))):
-        assert theta_from_dict(theta_to_dict(t))(np.arange(1.0, 6.0)) == t(
-            np.arange(1.0, 6.0)
-        )
+        back = theta_from_dict(theta_to_dict(t))
+        assert back == t
+        assert _theta(back, mu) == oracles.theta_value(t, mu)
+    # each constructor's JSON form
+    assert theta_to_dict(theta_constant(2.5)) == {"type": "constant", "value": 2.5}
+    assert theta_to_dict(theta_component(4)) == {"type": "component", "index": 4}
+    assert theta_to_dict(theta_monomial(1.5, (0, 2))) == {
+        "type": "monomial",
+        "coeff": 1.5,
+        "exponents": [0, 2],
+    }
 
 
 def test_theta_product_stays_serializable():
     p = theta_product(theta_component(0), theta_monomial(3.0, (1,)))
-    assert p.serializable
-    assert p(np.array([2.0])) == 2.0 * 3.0 * 2.0
+    assert p == theta_monomial(3.0, (2,))
+    assert theta_from_dict(theta_to_dict(p)) == p
+    assert _theta(p, np.array([2.0])) == 2.0 * 3.0 * 2.0
+    # a function factor multiplies in; the product is then not serializable
+    q = theta_product(theta_monomial(2.0, (0, 1)), theta_callable(lambda m: m[0] + 1.0))
+    assert q.coeff == 2.0 and q.exponents == (0, 1)
+    assert _theta(q, np.array([3.0, 5.0])) == oracles.theta_value(q, np.array([3.0, 5.0])) == 40.0
+    with pytest.raises(ValueError, match="not serializable"):
+        theta_to_dict(q)
 
 
 def test_theta_shift_reindexes():
     mu = np.array([0.0, 0.0, 7.0])
-    assert theta_shift(theta_component(0), 2)(mu) == 7.0
-    assert theta_shift(theta_monomial(2.0, (1,)), 2)(mu) == 14.0
-    assert theta_shift(theta_constant(4.0), 2)(mu) == 4.0
+    assert _theta(theta_shift(theta_component(0), 2), mu) == 7.0
+    assert _theta(theta_shift(theta_monomial(2.0, (1,)), 2), mu) == 14.0
+    assert _theta(theta_shift(theta_constant(4.0), 2), mu) == 4.0
+    assert _theta(theta_shift(theta_callable(lambda m: m[0] + 1.0), 2), mu) == 8.0
+    assert theta_shift(theta_component(0), 2) == theta_component(2)
 
 
 def _mixed_thetas():
@@ -86,24 +117,96 @@ def _mixed_thetas():
         theta_product(theta_component(1), theta_monomial(-3.0, (0, 0, 2))),
         theta_callable(lambda mu: np.sin(mu[0]) + mu[-1]),
         theta_constant(0.0),
+        theta_product(theta_monomial(1.5, (1,)), theta_callable(lambda mu: mu[-1] ** 2)),
     )
 
 
 def test_theta_table_matches_expressions():
     thetas = _mixed_thetas()
     table = ThetaTable.compile(thetas)
-    assert [q for q, _ in table.calls] == [6]  # only the callable leaves the table
-    assert table.dim == 4 and table.idx.shape == (8, 5)
+    assert [q for q, _ in table.calls] == [6, 8]  # only the functions leave the table
+    assert table.dim == 4 and table.idx.shape == (9, 5)
     mus = np.random.default_rng(4).uniform(-2.0, 2.0, (50, 6))
-    want = np.array([[t(mu) for t in thetas] for mu in mus])
+    want = np.array([[oracles.theta_value(t, mu) for t in thetas] for mu in mus])
     # exponents >= 2 are products instead of powers: equal to round-off
     assert np.allclose(table(mus), want, rtol=1e-15, atol=0.0)
     for mu, row in zip(mus[:5], want):
-        assert table(mu).shape == (8,)
+        assert table(mu).shape == (9,)
         assert np.allclose(table(mu), row, rtol=1e-15, atol=0.0)
-    # constants and components are copied, not computed
-    exact = [0, 1, 4, 7]
+    # constants, components and lone functions are copied, not computed
+    exact = [0, 1, 4, 6, 7]
     assert np.array_equal(table(mus)[:, exact], want[:, exact])
+
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 6) | st.text(max_size=3)
+    | st.floats(-1e3, 1e3) | st.sampled_from([float("nan"), float("inf"), 1.5]),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=3), inner, max_size=2),
+    max_leaves=4,
+)
+_NUMBER = st.floats(-1e3, 1e3) | st.integers(-1000, 1000) | st.just(10**400) | _JSON
+_COUNT = st.integers(0, 4) | _JSON
+# each field is well-formed or arbitrary JSON; a missing field comes from the
+# arbitrary dictionaries
+_THETA_DICTS = st.one_of(
+    st.fixed_dictionaries({"type": st.just("constant"), "value": _NUMBER}),
+    st.fixed_dictionaries({"type": st.just("component"), "index": _COUNT}),
+    st.fixed_dictionaries(
+        {
+            "type": st.just("monomial"),
+            "coeff": _NUMBER,
+            "exponents": st.lists(_COUNT, max_size=4) | _JSON,
+        }
+    ),
+    st.dictionaries(st.sampled_from(["type", "value", "index", "coeff", "exponents"]), _JSON),
+    _JSON,
+)
+
+
+def _valid_theta_dict(d) -> bool:
+    """The manifest grammar, written out independently of the parser."""
+    count = lambda v: type(v) is int and v >= 0
+    big = float(np.finfo(float).max)
+    number = lambda v: type(v) in (int, float) and -big <= v <= big  # NaN fails too
+    if not isinstance(d, dict):
+        return False
+    kind = d.get("type")
+    if kind == "constant":
+        return number(d.get("value"))
+    if kind == "component":
+        return count(d.get("index"))
+    return (
+        kind == "monomial"
+        and number(d.get("coeff"))
+        and type(d.get("exponents")) is list
+        and all(map(count, d["exponents"]))
+    )
+
+
+@given(_THETA_DICTS, st.integers(0, 2**32 - 1))
+@settings(max_examples=300, deadline=None)
+def test_theta_grammar_fuzz(d, seed):
+    # a dict is either refused with a ValueError, or it is a theta that
+    # survives the JSON round trip and that the table evaluates as the oracle
+    try:
+        t = theta_from_dict(d)
+    except ValueError:
+        assert not _valid_theta_dict(d)
+        return
+    assert _valid_theta_dict(d)
+    assert theta_from_dict(theta_to_dict(t)) == t
+    mu = np.random.default_rng(seed).uniform(-2.0, 2.0, len(t.exponents) + 1)
+    assert np.isclose(_theta(t, mu), oracles.theta_value(t, mu), rtol=1e-13, atol=1e-300)
+
+
+def test_zero_exponent_monomial_is_parameter_independent():
+    sys = make_scalar_ode()
+    A = sys.A.terms[0][1]
+    for theta in (theta_constant(2.0), theta_monomial(2.0, (0, 0))):
+        assert replace(sys, A=AffineOperator(terms=((theta, A),))).parameter_independent_A
+    for theta in (theta_monomial(2.0, (0, 1)), theta_callable(lambda mu: 2.0)):
+        assert not replace(sys, A=AffineOperator(terms=((theta, A),))).parameter_independent_A
 
 
 def test_theta_table_without_callables_or_factors():
@@ -118,11 +221,11 @@ def test_theta_table_rejects_short_parameter():
     for mu in (np.ones(3), np.ones((7, 3))):
         with pytest.raises(ParameterDimensionMismatch, match="parameter has dimension 3"):
             table(mu)
-    # a monomial needs as many components as it lists exponents, as when called alone
+    # a monomial needs as many components as it lists exponents, as in the oracle
     with pytest.raises(ParameterDimensionMismatch):
         ThetaTable.compile((theta_monomial(1.0, (1, 0, 0)),))(np.ones(2))
     with pytest.raises(ParameterDimensionMismatch):
-        theta_monomial(1.0, (1, 0, 0))(np.ones(2))
+        oracles.theta_value(theta_monomial(1.0, (1, 0, 0)), np.ones(2))
 
 
 # -- affine operators --------------------------------------------------------
