@@ -12,7 +12,6 @@ from .system_model import (
     KernelBasis,
     ThetaExpression,
     affine_eval,
-    homogenize,
     kernel_basis,
     theta_component,
     theta_constant,

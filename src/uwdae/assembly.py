@@ -157,15 +157,9 @@ def vectorize_samples(values: np.ndarray) -> np.ndarray:
     return values.T.ravel()
 
 
-def assemble_stiffness(
-    sys: DaeSystem,
-    mu,
-    grid: TimeGrid,
-    V: KernelBasis,
-    grams: GramTriplet | None = None,
-) -> SpaceTimeOperator:
+def assemble_stiffness(sys: DaeSystem, mu, grid: TimeGrid, V: KernelBasis) -> SpaceTimeOperator:
     """The block rows of the stiffness at one parameter."""
-    grams = build_grams(grid) if grams is None else grams
+    grams = build_grams(grid)
     E, A = sp.csr_matrix(sys.E), sys.A_at(mu)
     EEt, EAt, AAt = (E @ E.T).tocsr(), (E @ A.T).tocsr(), (A @ A.T).tocsr()
     spatial = (EEt, EAt, EAt.T.tocsr(), AAt)
@@ -203,8 +197,6 @@ def _join(shape, blocks) -> sp.csr_matrix:
     return sp.csr_matrix((data, (row, col)), shape=shape)
 
 
-def assemble_rhs_operator(
-    grid: TimeGrid, n: int, V: KernelBasis, grams: GramTriplet | None = None
-) -> RhsOperator:
+def assemble_rhs_operator(grid: TimeGrid, n: int, V: KernelBasis) -> RhsOperator:
     """The load map of one grid: nodal samples of f to the load vector."""
-    return RhsOperator(grid=grid, n=n, V=V, grams=build_grams(grid) if grams is None else grams)
+    return RhsOperator(grid=grid, n=n, V=V, grams=build_grams(grid))

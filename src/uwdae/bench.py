@@ -7,7 +7,6 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import UwdaeError
 from .detailed import (
     DetailedOperator,
     estimator_detailed,
@@ -37,10 +36,6 @@ __all__ = [
     "timereduction_study",
     "smooth_random_controls",
 ]
-
-
-class UnsupportedSource(UwdaeError):
-    """Analytic reference only exists for the sinusoidal source."""
 
 
 # ---------------------------------------------------------------------------
@@ -101,17 +96,13 @@ def make_rlc(p: RlcParams, source=None) -> DaeSystem:
     )
 
 
-def rlc_analytic(p: RlcParams, t, source: str = "smooth") -> np.ndarray:
+def rlc_analytic(p: RlcParams, t) -> np.ndarray:
     """Closed-form solution for the sinusoidal source from a rest start.
 
     Eliminating the algebraic variables yields a damped oscillator for
     the current, L i'' + R i' + i/C = omega cos(omega t), with
     i(0) = i'(0) = 0; the voltages follow algebraically.
     """
-    if source != "smooth":
-        raise UnsupportedSource(
-            f"no closed form for source {source!r}; only the sinusoid is supported"
-        )
     t = np.atleast_1d(np.asarray(t, dtype=float))
     omega = 4.0 * np.pi / p.T
     alpha = 1.0 / p.C - p.L * omega**2
@@ -236,8 +227,8 @@ def make_stokes_like(p: StokesLikeParams) -> DaeSystem:
     C = np.zeros((1, n))
     C[0, p.output_cell % n_vel] = 1.0
 
-    # smooth nonzero initial velocity, homogenized with its constant extension:
-    # the load A x0 replaces it
+    # smooth nonzero initial velocity x0 of E x' = A x, entered as the
+    # constant load A x0 of the shifted state x - x0, which starts at rest
     x0 = np.zeros(n)
     for i in range(m - 1):
         for j in range(m):

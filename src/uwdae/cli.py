@@ -20,7 +20,7 @@ import scipy.io
 import scipy.sparse as sp
 
 from . import bench
-from .errors import FactorizationFailure, ManifestError, UwdaeError
+from .errors import FactorizationFailure, ManifestError, ParameterDimensionMismatch, UwdaeError
 from .detailed import (
     DetailedOperator,
     estimator_detailed,
@@ -83,15 +83,21 @@ def _with_control(sys, path):
     return replace(sys, rhs=AffineOperator(terms=sys.rhs.terms + (term,)))
 
 
-def cmd_solve(args) -> int:
-    sys, doc = load_manifest(args.manifest)
+def _load_validated(path):
+    """(system, header) of a manifest; a hard validation diagnostic is an
+    input error, warnings go to stderr."""
+    sys, doc = load_manifest(path)
     diags = validate_system(sys)
     hard = [d for d in diags if not d.startswith("warning")]
     if hard:
-        print("validation failed:\n  " + "\n  ".join(hard), file=_sys.stderr)
-        return EXIT_INPUT
+        raise ManifestError("validation failed:\n  " + "\n  ".join(hard))
     for d in diags:
         print(d, file=_sys.stderr)
+    return sys, doc
+
+
+def cmd_solve(args) -> int:
+    sys, doc = _load_validated(args.manifest)
     K = args.K or doc.get("grid", {}).get("K")
     if not K:
         print("no grid size: pass --K or set grid.K in the manifest", file=_sys.stderr)
@@ -103,7 +109,7 @@ def cmd_solve(args) -> int:
     t0 = time.perf_counter()
     op = DetailedOperator(sys, grid, mu=mu)
     sol = op.solve(mu)
-    residual = float(np.linalg.norm(op.stiffness @ sol.coeffs - op.rhs_vector(mu)))
+    residual = float(np.linalg.norm(op.stiffness @ sol.coeffs - op.rhs_vector(sol.mu)))
     delta = estimator_detailed(sol, refinement=args.refine)
     wall_ms = 1000.0 * (time.perf_counter() - t0)
 
@@ -119,7 +125,7 @@ def cmd_solve(args) -> int:
         band = op.stiffness.band()  # mirrored: the lower triangle plus its transpose
         lower = sp.dia_matrix((band, -np.arange(band.shape[0])), shape=(op.dim, op.dim))
         scipy.io.mmwrite(str(out / "BN.mtx"), lower + sp.tril(lower, -1).T)
-        scipy.io.mmwrite(str(out / "fN.mtx"), op.rhs_vector(mu)[:, None])
+        scipy.io.mmwrite(str(out / "fN.mtx"), op.rhs_vector(sol.mu)[:, None])
     norm = l2_norm(sol)
     print(f"dims={op.dim} residual={residual:.3e} estimator={delta:.3e} " f"l2_norm={norm:.6e}")
     return EXIT_OK
@@ -151,7 +157,7 @@ def _bench_or_manifest(args):
     if args.bench == "stokes":
         return bench.make_stokes_like(bench.StokesLikeParams(m_g=args.mg, T=args.T))
     if args.manifest:
-        return load_manifest(args.manifest)[0]
+        return _load_validated(args.manifest)[0]
     raise ManifestError("pass --manifest or --bench stokes")
 
 
@@ -289,7 +295,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ManifestError, FileNotFoundError, ValueError) as exc:
+    except (ManifestError, ParameterDimensionMismatch, FileNotFoundError, ValueError) as exc:
         print(f"input error: {exc}", file=_sys.stderr)
         return EXIT_INPUT
     except FactorizationFailure as exc:

@@ -199,9 +199,28 @@ class DetailedOperator:
     def dim(self) -> int:
         return self.stiffness.dim
 
+    @cached_property
+    def initial_loads(self) -> np.ndarray:
+        """Load columns (dim, Q) of the initial-value terms x0_q.
+
+        Integrating (E x', y) by parts against test functions with
+        E^T y(T) = 0 leaves (E x0, y(0)) on the right-hand side.  Of the hat
+        functions only sigma_0 is nonzero at t = 0, with sigma_0(0) = 1, so
+        column q is E x0_q on the node-0 block and zero elsewhere.
+        """
+        x0 = self.sys.x0
+        cols = np.zeros((self.dim, 0 if x0 is None else x0.Q))
+        if x0 is not None:
+            X0 = np.column_stack([np.asarray(v, dtype=float).ravel() for _, v in x0.terms])
+            cols[: self.sys.n] = self.sys.E @ X0
+        return cols
+
     def rhs_vector(self, mu) -> np.ndarray:
         samples = sample_rhs(self.sys.rhs, mu, self.grid.nodes)
-        return self.stiffness.load(vectorize_samples(samples))
+        load = self.stiffness.load(vectorize_samples(samples))
+        if self.sys.x0 is not None:
+            load += self.initial_loads @ self.sys.x0.theta_vector(mu)
+        return load
 
     def _parameter(self, mu) -> np.ndarray:
         """The parameter of a solve: any for a parameter-independent A, else mu_A."""

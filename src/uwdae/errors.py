@@ -5,10 +5,6 @@ class UwdaeError(Exception):
     """Base class for all package errors."""
 
 
-class InconsistentExtension(UwdaeError):
-    """Initial-condition extension has the wrong dimension."""
-
-
 class ParameterDimensionMismatch(UwdaeError):
     """Parameter vector shorter than a theta expression requires."""
 

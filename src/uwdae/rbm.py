@@ -96,8 +96,9 @@ def control_rhs_family(
 
     The parameter vector stacks the m*(K_u+1) nodal control samples (none
     without a control matrix) with the parameter of the system's own
-    right-hand-side terms (e.g. the homogenized initial condition).  One
-    affine term per control sample slot plus one per system rhs term.
+    right-hand-side and initial-value terms.  One affine term per control
+    sample slot, one per system rhs term and one per initial-value term
+    (its column of ``op.initial_loads``).
     """
     sys, grid = op.sys, op.grid
     if not sys.parameter_independent_A:
@@ -118,8 +119,12 @@ def control_rhs_family(
     terms.append(np.stack([v.T for v in sample_rhs_terms(sys.rhs, grid.nodes)], axis=-1))
     thetas.extend(theta_shift(theta, P1) for theta in sys.rhs.thetas)
     samples = np.concatenate(terms, axis=-1)
+    Ftilde = op.stiffness.load(samples.reshape(-1, len(thetas)))
+    if sys.x0 is not None:
+        Ftilde = np.hstack([Ftilde, op.initial_loads])
+        thetas.extend(theta_shift(theta, P1) for theta in sys.x0.thetas)
     return AffineRhsFamily(
-        Ftilde=op.stiffness.load(samples.reshape(-1, len(thetas))),
+        Ftilde=Ftilde,
         thetas=tuple(thetas),
         control_grid=control_grid,
     )

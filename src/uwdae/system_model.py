@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Sequence
 
@@ -18,11 +18,7 @@ import numpy as np
 import scipy.linalg as la
 import scipy.sparse as sp
 
-from .errors import (
-    InconsistentExtension,
-    ParameterDimensionMismatch,
-    UwdaeError,
-)
+from .errors import ParameterDimensionMismatch, UwdaeError
 
 __all__ = [
     "ThetaExpression",
@@ -30,7 +26,6 @@ __all__ = [
     "theta_component",
     "theta_monomial",
     "theta_callable",
-    "theta_product",
     "theta_to_dict",
     "theta_from_dict",
     "theta_shift",
@@ -40,7 +35,6 @@ __all__ = [
     "KernelBasis",
     "validate_system",
     "kernel_basis",
-    "homogenize",
     "affine_eval",
     "sample_rhs",
     "sample_rhs_terms",
@@ -139,15 +133,6 @@ def theta_shift(t: ThetaExpression, offset: int) -> ThetaExpression:
         return t
     func = None if t.func is None else (lambda mu, f=t.func: f(np.asarray(mu)[offset:]))
     return ThetaExpression(t.coeff, (0,) * offset + t.exponents, func)
-
-
-def theta_product(a: ThetaExpression, b: ThetaExpression) -> ThetaExpression:
-    """Pointwise product: coefficients and functions multiply, exponents add."""
-    n = max(len(a.exponents), len(b.exponents))
-    ea, eb = (t.exponents + (0,) * (n - len(t.exponents)) for t in (a, b))
-    fa, fb = a.func, b.func
-    func = fa if fb is None else fb if fa is None else (lambda mu: fa(mu) * fb(mu))
-    return ThetaExpression(a.coeff * b.coeff, tuple(x + y for x, y in zip(ea, eb)), func)
 
 
 @dataclass(frozen=True)
@@ -278,7 +263,11 @@ def pw_linear_sampler(t_nodes: np.ndarray, values: np.ndarray) -> TimeSampler:
 
 @dataclass(frozen=True)
 class DaeSystem:
-    """Linear constant-coefficient DAE E x' - A_mu x = f_mu, x(0) = x0_mu."""
+    """Linear constant-coefficient DAE E x' - A_mu x = f_mu, E x(0) = E x0_mu.
+
+    Only E x0 is prescribed: the initial value enters the ultraweak load,
+    not the trial space (``DetailedOperator.initial_loads``).
+    """
 
     n: int
     E: sp.spmatrix
@@ -394,58 +383,3 @@ def kernel_basis(E: sp.spmatrix, tol: float = DEFAULT_RANK_TOL) -> KernelBasis:
     d = n - rank
     V = Wt[rank:].T.copy() if d > 0 else np.zeros((n, 0))
     return KernelBasis(V=V, d=d)
-
-
-Extension = tuple[Callable[[np.ndarray], np.ndarray], Callable[[np.ndarray], np.ndarray]]
-"""Pair (xbar, xbar_dot) of vectorized time functions, each t -> (n, k)."""
-
-
-def homogenize(
-    sys: DaeSystem, extensions: Sequence[Extension] | None = None
-) -> DaeSystem:
-    """Reduce to homogeneous initial conditions.
-
-    Each initial-value term x0_q gets a C^1 extension xbar_q with
-    xbar_q(0) = x0_q (default: constant in time).  The right-hand side is
-    augmented by z_q = A xbar_q - E xbar_q', one affine term per product
-    of an A-term and an x0-term, and x0 is dropped.
-    """
-    if sys.x0 is None:
-        return sys
-    x0_terms = [(t, np.asarray(v, dtype=float).ravel()) for t, v in sys.x0.terms]
-    if all(not np.any(v) for _, v in x0_terms):
-        return replace(sys, x0=None)
-    constant_in_time = extensions is None
-    if constant_in_time:
-        extensions = [
-            (constant_sampler(v), constant_sampler(np.zeros_like(v)))
-            for _, v in x0_terms
-        ]
-    if len(extensions) != len(x0_terms):
-        raise InconsistentExtension(
-            f"{len(extensions)} extensions for {len(x0_terms)} initial-value terms"
-        )
-    new_terms = list(sys.rhs.terms)
-    E = sys.E.tocsr()
-    for (theta_x, v), (xbar, xbardot) in zip(x0_terms, extensions):
-        probe = np.asarray(xbar(np.array([0.0])), dtype=float)
-        if probe.shape[0] != sys.n:
-            raise InconsistentExtension(
-                f"extension has dimension {probe.shape[0]}, system has {sys.n}"
-            )
-        if not np.allclose(probe[:, 0], v, rtol=0, atol=1e-12 * max(1.0, np.abs(v).max())):
-            raise InconsistentExtension("extension does not match x0 at t = 0")
-        for theta_a, Aq in sys.A.terms:
-            Aq = sp.csr_matrix(Aq)
-            new_terms.append(
-                (theta_product(theta_x, theta_a), _matmul_sampler(Aq, xbar))
-            )
-        if not constant_in_time:
-            new_terms.append(
-                (theta_product(theta_x, theta_constant(-1.0)), _matmul_sampler(E, xbardot))
-            )
-    return replace(sys, x0=None, rhs=AffineOperator(terms=tuple(new_terms)))
-
-
-def _matmul_sampler(M: sp.spmatrix, f: TimeSampler) -> TimeSampler:
-    return lambda t: M @ np.asarray(f(np.asarray(t)), dtype=float)

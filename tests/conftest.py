@@ -21,7 +21,7 @@ from uwdae import (
 from uwdae.bench import RlcParams, make_rlc, make_stokes_like, StokesLikeParams
 from uwdae.detailed import DetailedOperator
 from uwdae.rbm import TrainingSet, control_rhs_family, greedy
-from uwdae.system_model import theta_constant
+from uwdae.system_model import constant_sampler, theta_constant
 
 
 def make_scalar_ode(T: float = 1.0) -> DaeSystem:
@@ -44,6 +44,22 @@ def make_scalar_ode(T: float = 1.0) -> DaeSystem:
 def scalar_ode_exact(t):
     t = np.atleast_1d(np.asarray(t, dtype=float))
     return (1.0 - np.exp(-t))[None, :]
+
+
+def make_decay() -> DaeSystem:
+    """x' + x = 0, x(0) = 1; exact solution exp(-t)."""
+    return DaeSystem(
+        n=1,
+        E=sp.identity(1, format="csr"),
+        A=AffineOperator.constant(sp.csr_matrix([[-1.0]])),
+        rhs=AffineOperator(terms=((theta_constant(1.0), constant_sampler([0.0])),)),
+        x0=AffineOperator(terms=((theta_constant(1.0), np.array([1.0])),)),
+        T=1.0,
+    )
+
+
+def decay_exact(t):
+    return np.exp(-np.atleast_1d(np.asarray(t, dtype=float)))[None, :]
 
 
 def make_algebraic() -> DaeSystem:

@@ -1,9 +1,10 @@
 """Independent numerical oracles used by the test suite.
 
 Everything here is written against the mathematical definitions only:
-hat functions are evaluated from scratch and all integrals use composite
-Gauss quadrature, so these routines share no code with the package
-internals they are meant to check.
+hat functions are evaluated from scratch, all integrals (the temporal Grams
+among them) use composite Gauss quadrature and thetas are evaluated term by
+term, so these routines share no code with the package internals they are
+meant to check; they read a system's matrices through ``DaeSystem.A_at``.
 """
 
 import numpy as np
@@ -11,7 +12,6 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from uwdae.errors import ParameterDimensionMismatch, UwdaeError
-from uwdae.system_model import sample_rhs
 
 
 class StepSingular(UwdaeError):
@@ -184,28 +184,24 @@ def kron_stiffness(sys, mu, grid, V) -> sp.csr_matrix:
     The temporal Grams are split off at the last node: B11 couples the nodal
     unknowns, B12/B21 the nodal and the kernel unknowns, B22 the kernel ones.
     """
-    from uwdae import build_grams
-
-    g = build_grams(grid)
+    Kt, Ot, _, Lt = map(sp.csr_matrix, cross_grams(grid, grid))
     E = sp.csr_matrix(sys.E)
     A = sys.A_at(mu)
     EEt, EAt, AAt = E @ E.T, E @ A.T, A @ A.T
-    K11, O11, L11 = g.Kt[:-1, :-1], g.Ot[:-1, :-1], g.Lt[:-1, :-1]
+    K11, O11, L11 = Kt[:-1, :-1], Ot[:-1, :-1], Lt[:-1, :-1]
     B11 = sp.kron(K11, EEt) + sp.kron(O11, EAt) + sp.kron(O11.T, EAt.T) + sp.kron(L11, AAt)
     if V.d == 0:
         return B11.tocsr()
     EAtV = sp.csr_matrix(E @ (A.T @ V.V))
     AAtV = sp.csr_matrix(A @ (A.T @ V.V))
-    B12 = sp.kron(g.Ot[:-1, -1:], EAtV) + sp.kron(g.Lt[:-1, -1:], AAtV)
-    B22 = sp.csr_matrix(g.Lt[-1, -1] * (V.V.T @ (A @ (A.T @ V.V))))
+    B12 = sp.kron(Ot[:-1, -1:], EAtV) + sp.kron(Lt[:-1, -1:], AAtV)
+    B22 = sp.csr_matrix(Lt[-1, -1] * (V.V.T @ (A @ (A.T @ V.V))))
     return sp.bmat([[B11, B12], [B12.T, B22]], format="csr")
 
 
 def kron_load_matrix(grid, n: int, V) -> sp.csr_matrix:
     """(nK+d) x n(K+1) matrix mapping time-node-major nodal samples to loads."""
-    from uwdae import build_grams
-
-    Lt = build_grams(grid).Lt
+    Lt = sp.csr_matrix(cross_grams(grid, grid)[3])
     K = grid.K
     top = sp.kron(Lt[:K], sp.identity(n))
     return sp.vstack([top, sp.kron(Lt[K:], sp.csr_matrix(V.V.T))], format="csr")
@@ -234,7 +230,7 @@ def mirror_band(ab) -> np.ndarray:
 
 
 def implicit_euler_reference(sys, mu, grid) -> np.ndarray:
-    """Implicit Euler baseline from a homogeneous start; shape (n, K+1)."""
+    """Implicit Euler baseline from x0(mu), or from rest without x0; shape (n, K+1)."""
     E = sys.E.tocsc()
     A = sys.A_at(mu).tocsc()
     dt = grid.dt
@@ -243,8 +239,10 @@ def implicit_euler_reference(sys, mu, grid) -> np.ndarray:
         lu = spla.splu(M)
     except RuntimeError as exc:
         raise StepSingular(f"step matrix E - dt*A is singular: {exc}") from exc
-    f = sample_rhs(sys.rhs, mu, grid.nodes)
+    f = sum(theta_value(t, mu) * np.atleast_2d(g(grid.nodes)) for t, g in sys.rhs.terms)
     X = np.zeros((sys.n, grid.K + 1))
+    if sys.x0 is not None:
+        X[:, 0] = sum(theta_value(t, mu) * np.ravel(v) for t, v in sys.x0.terms)
     for k in range(1, grid.K + 1):
         X[:, k] = lu.solve(E @ X[:, k - 1] + dt * f[:, k])
     return X

@@ -36,7 +36,7 @@ from uwdae.rbm import (
 )
 
 import oracles
-from conftest import make_scalar_ode, scalar_ode_exact
+from conftest import decay_exact, make_decay, make_scalar_ode, scalar_ode_exact
 
 
 REPORT_LINES: list[str] = []
@@ -235,40 +235,27 @@ def test_criterion_08_best_approximation():
 
 
 def test_criterion_09_homogenization_roundtrip():
-    """Initial-value reduction reproduces exp(-t) at first order."""
-    import scipy.sparse as sp
-
-    from uwdae import AffineOperator, DaeSystem, homogenize
-    from uwdae.system_model import constant_sampler, theta_constant
-
+    """The initial value enters the load as E x0: the solve reproduces exp(-t)
+    at first order and follows implicit Euler from x0."""
     t0 = time.perf_counter()
-    decay = DaeSystem(
-        n=1,
-        E=sp.identity(1, format="csr"),
-        A=AffineOperator.constant(sp.csr_matrix([[-1.0]])),
-        rhs=AffineOperator(terms=((theta_constant(1.0), constant_sampler([0.0])),)),
-        x0=AffineOperator(terms=((theta_constant(1.0), np.array([1.0])),)),
-        T=1.0,
-    )
-    hom = homogenize(decay)
-    exact = lambda t: np.exp(-np.atleast_1d(t))[None, :]
+    decay = make_decay()
     errs = []
     for K in (64, 128, 256):
-        sol = solve_detailed(hom, None, TimeGrid(T=1.0, K=K))
-        errs.append(l2_error(sol, lambda t: exact(t) - 1.0))
+        sol = solve_detailed(decay, None, TimeGrid(T=1.0, K=K))
+        errs.append(l2_error(sol, decay_exact))
     rates = [errs[i] / errs[i + 1] for i in range(2)]
     first_order = all(1.8 < r < 2.2 for r in rates)
 
     grid = TimeGrid(T=1.0, K=256)
-    sol = solve_detailed(hom, None, grid)
-    euler = oracles.implicit_euler_reference(hom, None, grid)
+    sol = solve_detailed(decay, None, grid)
+    euler = oracles.implicit_euler_reference(decay, None, grid)
     t_in = grid.nodes[1:-1]
     dev = np.abs(evaluate_state(sol, t_in) - euler[:, 1:-1]).max()
     ok = first_order and dev <= 5.0 * grid.dt
     dt = time.perf_counter() - t0
     _report(
         9,
-        "homogenization round-trip",
+        "initial value as load",
         ok and dt < 5.0,
         f"errors {errs[0]:.2e}/{errs[1]:.2e}/{errs[2]:.2e}, "
         f"euler nodal dev {dev:.2e}, {dt:.1f}s",

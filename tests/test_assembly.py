@@ -166,8 +166,6 @@ def test_rhs_operator_scalar_algebraic_is_mass():
     expect = Lt.copy()
     expect[2] *= V.V[0, 0]
     assert np.allclose(op.load(np.eye(3)), expect, atol=1e-15)
-    shared = assemble_rhs_operator(grid, 1, V, build_grams(grid))
-    assert np.array_equal(shared.load(np.eye(3)), op.load(np.eye(3)))
 
 
 def test_rhs_zero_samples():

@@ -9,7 +9,6 @@ from uwdae import AffineOperator, TimeGrid, kernel_basis, validate_system
 from uwdae.bench import (
     RlcParams,
     StokesLikeParams,
-    UnsupportedSource,
     convergence_study,
     fit_loglog_slope,
     make_rlc,
@@ -181,8 +180,3 @@ def test_timereduction_applies_rhs_coefficients():
     want = timereduction_study(doubled, 32, [4, 8, 16], n_controls=4, seed=2)
     assert [k for k, _ in rows] == [k for k, _ in want]
     assert np.allclose([e for _, e in rows], [e for _, e in want], rtol=1e-10, atol=0)
-
-
-def test_unsupported_source_raises():
-    with pytest.raises(UnsupportedSource):
-        rlc_analytic(RlcParams(), [0.0], source="disc")

@@ -19,7 +19,7 @@ from uwdae.manifest import load_manifest, write_manifest
 from uwdae.system_model import constant_sampler, sample_rhs_terms, theta_constant
 
 import oracles
-from conftest import make_algebraic
+from conftest import make_algebraic, make_decay
 
 
 @pytest.fixture
@@ -81,6 +81,42 @@ def test_solve_prints_validation_warning(tmp_path, capsys):
     assert main(args) == EXIT_OK
     err = capsys.readouterr().err
     assert err.startswith("warning: initial value appears inconsistent with f(0+)")
+
+
+def test_solve_decay_manifest_starts_from_x0(tmp_path):
+    # x' = -x, x(0) = 1: the written trajectory is exp(-t), not x = 0
+    write_manifest(make_decay(), tmp_path / "decay")
+    out = tmp_path / "out"
+    args = ["solve", "--manifest", str(tmp_path / "decay"), "--K", "64", "--out", str(out)]
+    assert main(args) == EXIT_OK
+    _, data = _read_csv(out / "trajectory.csv")
+    assert np.abs(data[:, 1] - np.exp(-data[:, 0])).max() <= 2e-3
+
+
+def test_short_parameter_is_input_error(rlc_manifest, tmp_path, capsys):
+    path = rlc_manifest / "manifest.json"
+    doc = json.loads(path.read_text())
+    doc["rhs"][0]["theta"] = {"type": "component", "index": 3}
+    path.write_text(json.dumps(doc))
+    args = ["solve", "--manifest", str(rlc_manifest), "--mu", "1", "--out", str(tmp_path / "o")]
+    assert main(args) == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert err.startswith("input error: thetas use 4 components, parameter has dimension 1")
+
+
+def test_every_manifest_command_validates(tmp_path, capsys):
+    # a NaN in A is refused before any solve, by solve, greedy and reduce alike
+    import scipy.io
+
+    write_manifest(make_stokes_like(StokesLikeParams(m_g=3)), tmp_path / "nan", grid_K=8)
+    A = sp.coo_matrix(scipy.io.mmread(str(tmp_path / "nan" / "A0.mtx")))
+    A.data[0] = np.nan
+    scipy.io.mmwrite(str(tmp_path / "nan" / "A0.mtx"), A)
+    manifest = ["--manifest", str(tmp_path / "nan"), "--out", str(tmp_path / "o")]
+    for args in (["solve"], ["greedy", "--K", "8"], ["reduce", "--K", "8", "--Ku-list", "4,8"]):
+        assert main(args + manifest) == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert "A term 0 has nonfinite entries" in err and "backward error" not in err
 
 
 def test_solve_missing_manifest(tmp_path, capsys):
@@ -416,8 +452,9 @@ def test_rbsolve_control_reads_time_column(stokes_model, tmp_path):
 
 
 def test_model_header_thetas_keep_their_json(stokes_model):
-    # one component per control node, then the homogenized initial value:
-    # a coefficient 1 shifted past the controls, a monomial of zero exponents
+    # one component per control node, then the rhs term A x0 of the initial
+    # velocity: a coefficient 1 shifted past the controls, a monomial of zero
+    # exponents
     thetas = json.loads((stokes_model / "header.json").read_text())["thetas"]
     assert thetas[:9] == [{"type": "component", "index": k} for k in range(9)]
     assert thetas[9:] == [{"type": "monomial", "coeff": 1.0, "exponents": [0] * 9}]

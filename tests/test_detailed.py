@@ -21,7 +21,7 @@ from uwdae.detailed import (
 from uwdae.errors import FactorizationFailure, GridMismatch, OutOfDomain
 
 import oracles
-from conftest import make_algebraic, make_scalar_ode, scalar_ode_exact
+from conftest import decay_exact, make_algebraic, make_decay, make_scalar_ode, scalar_ode_exact
 
 EXACT_NORM = np.sqrt(-0.5 + 2.0 / np.e - 0.5 / np.e**2)  # ||1 - e^-t|| on (0,1)
 
@@ -393,6 +393,60 @@ def test_best_approximation_property():
     assert abs(err_pg - err_proj) <= 1e-8 * err_proj
 
 
+# -- initial values ----------------------------------------------------------
+# x(0) = x0 enters the load as E x0 on the node-0 test functions, so the
+# computed state is x itself: for the decay x' = -x, x(0) = 1, exp(-t)
+
+
+def test_initial_value_best_approximation():
+    from uwdae import kernel_basis
+
+    sys = make_decay()
+    grid = TimeGrid(T=1.0, K=128)
+    op = DetailedOperator(sys, grid)
+    sol = op.solve(None)
+    m = oracles.moment_vector(sys, None, grid, kernel_basis(sys.E), decay_exact)
+    proj = op.solve_load(m)
+    dev = np.abs(sol.coeffs - proj.coeffs).max() / np.abs(proj.coeffs).max()
+    assert dev <= 1e-8
+    err_pg = l2_error(sol, decay_exact, quad_order=8)
+    err_proj = l2_error(proj, decay_exact, quad_order=8)
+    assert abs(err_pg - err_proj) <= 1e-8 * err_proj
+
+
+def test_initial_value_error_first_order():
+    sol = solve_detailed(make_decay(), None, TimeGrid(T=1.0, K=256))
+    assert l2_error(sol, decay_exact) <= 3e-4  # measured 2.65e-4
+
+
+def test_initial_value_estimator_is_the_error():
+    sol = solve_detailed(make_decay(), None, TimeGrid(T=1.0, K=64))
+    assert abs(estimator_detailed(sol) / l2_error(sol, decay_exact) - 1.0) <= 1e-3
+
+
+def test_initial_value_enters_through_E_only():
+    # index-1 pencil x1' = -x1, 0 = -x2: a component of x0 in ker E changes
+    # nothing, the differential one starts the decay
+    from uwdae import AffineOperator, DaeSystem
+    from uwdae.system_model import constant_sampler, theta_constant
+
+    def system(x0):
+        return DaeSystem(
+            n=2,
+            E=sp.csr_matrix(np.diag([1.0, 0.0])),
+            A=AffineOperator.constant(sp.csr_matrix(-np.eye(2))),
+            rhs=AffineOperator(terms=((theta_constant(1.0), constant_sampler([0.0, 0.0])),)),
+            x0=AffineOperator(terms=((theta_constant(1.0), np.array(x0)),)),
+            T=1.0,
+        )
+
+    grid = TimeGrid(T=1.0, K=64)
+    sol = solve_detailed(system([1.0, 5.0]), None, grid)
+    assert np.array_equal(sol.coeffs, solve_detailed(system([1.0, 0.0]), None, grid).coeffs)
+    exact = lambda t: np.vstack([decay_exact(t), np.zeros((1, np.size(t)))])
+    assert l2_error(sol, exact) <= 2e-3  # decay alone: 1.06e-3 at K = 64
+
+
 # -- implicit Euler baseline -------------------------------------------------
 
 
@@ -402,6 +456,9 @@ def test_euler_scalar_closed_form():
     k = np.arange(51)
     expect = 1.0 - (1.0 + grid.dt) ** (-k.astype(float))
     assert np.abs(X[0] - expect).max() < 1e-12
+    # the decay starts from x0 = 1
+    X = oracles.implicit_euler_reference(make_decay(), None, grid)
+    assert np.abs(X[0] - (1.0 - expect)).max() < 1e-12
 
 
 def test_euler_algebraic_collapse():

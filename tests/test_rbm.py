@@ -53,6 +53,31 @@ def test_family_load_batch_matches_single(stokes_family):
     assert np.abs(F - singles).max() <= 1e-15 * np.abs(singles).max()
 
 
+def test_family_load_carries_parameter_dependent_initial_value():
+    # an x0 term with theta = 2 mu_0 mu_1 is one more load column, its theta
+    # shifted past the control slots like the rhs terms
+    from dataclasses import replace
+
+    from uwdae.bench import StokesLikeParams, make_stokes_like
+    from uwdae.system_model import AffineOperator, theta_monomial
+
+    base = make_stokes_like(StokesLikeParams(m_g=3))
+    x0 = np.random.default_rng(6).standard_normal(base.n)
+    sys = replace(base, x0=AffineOperator(terms=((theta_monomial(2.0, (1, 1)), x0),)))
+    grid = TimeGrid(T=sys.T, K=8)
+    op = DetailedOperator(sys, grid)
+    family = control_rhs_family(op, control_grid=TimeGrid(T=sys.T, K=4))
+    assert family.Qf == 5 + 1 + 1 and family.parameter_dim == 5 + 2
+    mu = np.array([0.7, -1.3])
+    want = op.rhs_vector(mu)
+    got = family.load(np.concatenate([np.zeros(5), mu]))
+    assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+    # the initial value adds 2 mu_0 mu_1 E x0 on the node-0 block, nothing else
+    added = want - DetailedOperator(base, grid).rhs_vector(mu)
+    assert np.allclose(added[: sys.n], 2.0 * mu[0] * mu[1] * (sys.E @ x0), rtol=1e-13, atol=0)
+    assert not np.any(added[sys.n :])
+
+
 def test_greedy_immediate_termination(stokes_op, stokes_family, stokes_training):
     model, history = greedy(
         stokes_op, stokes_family, stokes_training, eps=1e9, n_max=10
@@ -178,7 +203,7 @@ def test_snapshot_reproduction(stokes_greedy, stokes_op, stokes_family):
 
 
 def test_reduced_zero_load(stokes_greedy, stokes_op, stokes_family):
-    # zero controls leave the homogenization term alone; the reduced
+    # zero controls leave the initial-velocity load A x0 alone; the reduced
     # solution is its Galerkin projection: the residual is orthogonal to
     # the reduced test space
     model, _ = stokes_greedy

@@ -1,4 +1,4 @@
-"""Tests for parameterized system types, kernel bases and homogenization."""
+"""Tests for parameterized system types, thetas, validation and kernel bases."""
 
 from dataclasses import replace
 
@@ -13,14 +13,12 @@ from uwdae import (
     DaeSystem,
     TimeGrid,
     affine_eval,
-    homogenize,
     kernel_basis,
     solve_detailed,
     validate_system,
 )
 from uwdae.errors import (
     FactorizationFailure,
-    InconsistentExtension,
     ParameterDimensionMismatch,
 )
 from uwdae.system_model import (
@@ -33,7 +31,6 @@ from uwdae.system_model import (
     theta_constant,
     theta_from_dict,
     theta_monomial,
-    theta_product,
     theta_shift,
     theta_to_dict,
 )
@@ -85,19 +82,6 @@ def test_theta_serialization_roundtrip():
     }
 
 
-def test_theta_product_stays_serializable():
-    p = theta_product(theta_component(0), theta_monomial(3.0, (1,)))
-    assert p == theta_monomial(3.0, (2,))
-    assert theta_from_dict(theta_to_dict(p)) == p
-    assert _theta(p, np.array([2.0])) == 2.0 * 3.0 * 2.0
-    # a function factor multiplies in; the product is then not serializable
-    q = theta_product(theta_monomial(2.0, (0, 1)), theta_callable(lambda m: m[0] + 1.0))
-    assert q.coeff == 2.0 and q.exponents == (0, 1)
-    assert _theta(q, np.array([3.0, 5.0])) == oracles.theta_value(q, np.array([3.0, 5.0])) == 40.0
-    with pytest.raises(ValueError, match="not serializable"):
-        theta_to_dict(q)
-
-
 def test_theta_shift_reindexes():
     mu = np.array([0.0, 0.0, 7.0])
     assert _theta(theta_shift(theta_component(0), 2), mu) == 7.0
@@ -114,10 +98,10 @@ def _mixed_thetas():
         theta_monomial(0.5, (2, 0, 3)),
         theta_shift(theta_monomial(2.0, (1, 2)), 1),
         theta_shift(theta_component(0), 2),
-        theta_product(theta_component(1), theta_monomial(-3.0, (0, 0, 2))),
+        theta_monomial(-3.0, (0, 1, 2)),
         theta_callable(lambda mu: np.sin(mu[0]) + mu[-1]),
         theta_constant(0.0),
-        theta_product(theta_monomial(1.5, (1,)), theta_callable(lambda mu: mu[-1] ** 2)),
+        ThetaExpression(1.5, (1,), lambda mu: mu[-1] ** 2),
     )
 
 
@@ -439,84 +423,3 @@ def test_pencil_irregular_raises():
     )
     with pytest.raises(FactorizationFailure, match="not positive definite"):
         solve_detailed(sys, None, TimeGrid(T=1.0, K=8))
-
-
-# -- homogenize --------------------------------------------------------------
-
-
-def _decay_ode():
-    """x' + x = 0, x(0) = 1; exact solution exp(-t)."""
-    return DaeSystem(
-        n=1,
-        E=sp.identity(1, format="csr"),
-        A=AffineOperator.constant(sp.csr_matrix([[-1.0]])),
-        rhs=AffineOperator(terms=((theta_constant(1.0), constant_sampler([0.0])),)),
-        x0=AffineOperator(terms=((theta_constant(1.0), np.array([1.0])),)),
-        T=1.0,
-    )
-
-
-def test_homogenize_constant_extension_rhs():
-    hom = homogenize(_decay_ode())
-    assert hom.x0 is None
-    f = sample_rhs(hom.rhs, None, np.linspace(0, 1, 5))
-    assert np.allclose(f, -1.0)  # A xbar = -1, E xbar' = 0
-
-
-def test_homogenize_roundtrip_decay():
-    from uwdae.detailed import evaluate_state, solve_detailed
-
-    hom = homogenize(_decay_ode())
-    sol = solve_detailed(hom, None, TimeGrid(T=1.0, K=256))
-    t = np.linspace(0.01, 0.99, 37)
-    recon = evaluate_state(sol, t)[0] + 1.0  # add the extension back
-    assert np.abs(recon - np.exp(-t)).max() < 5e-3
-
-
-def test_homogenize_zero_x0_unchanged():
-    sys = _decay_ode()
-    zero = DaeSystem(
-        n=1,
-        E=sys.E,
-        A=sys.A,
-        rhs=sys.rhs,
-        x0=AffineOperator(terms=((theta_constant(1.0), np.zeros(1)),)),
-        T=1.0,
-    )
-    hom = homogenize(zero)
-    assert hom.x0 is None
-    assert hom.rhs is zero.rhs
-
-
-def test_homogenize_supplied_extension_keeps_derivative_term():
-    # extension xbar(t) = (1 + t) e1: z = A xbar - E xbar' = -(1+t) - 1
-    sys = _decay_ode()
-    ext = [
-        (
-            lambda t: (1.0 + np.atleast_1d(t))[None, :],
-            lambda t: np.ones((1, np.atleast_1d(t).size)),
-        )
-    ]
-    hom = homogenize(sys, extensions=ext)
-    f = sample_rhs(hom.rhs, None, np.array([0.0, 1.0]))
-    assert np.allclose(f, [[-2.0, -3.0]])
-
-
-def test_homogenize_rejects_extension_off_at_large_x0():
-    # an absolute check: 1e-3 off at |x0| = 1e3 is inside a default rtol of 1e-5
-    sys = replace(_decay_ode(), x0=AffineOperator(terms=((theta_constant(1.0), np.array([1e3])),)))
-    bad = [(constant_sampler([1e3 + 1e-3]), constant_sampler([0.0]))]
-    with pytest.raises(InconsistentExtension):
-        homogenize(sys, extensions=bad)
-
-
-def test_homogenize_dimension_mismatch():
-    sys = _decay_ode()
-    bad = [
-        (
-            lambda t: np.ones((2, np.atleast_1d(t).size)),
-            lambda t: np.zeros((2, np.atleast_1d(t).size)),
-        )
-    ]
-    with pytest.raises(InconsistentExtension):
-        homogenize(sys, extensions=bad)
